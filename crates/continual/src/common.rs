@@ -7,7 +7,7 @@ use serde::{Deserialize, Serialize};
 use refil_data::{minibatches, Batch};
 use refil_fed::{DomainEvaluator, EvalContext, TrainSetting};
 use refil_nn::models::{BackboneConfig, PromptedBackbone};
-use refil_nn::{clip_grad_norm, Graph, InferenceSession, Params, Sgd, Tensor, Var};
+use refil_nn::{clip_grad_norm, Graph, InferenceSession, ParamId, Params, Sgd, Tensor, Var};
 
 /// Builds prompt tokens for a forward pass (e.g. pool lookup + concat).
 pub type PromptBuilder<'a> = &'a dyn Fn(&Graph, &Params) -> Var;
@@ -36,6 +36,12 @@ pub struct MethodConfig {
     pub stable_after_first_task: bool,
     /// Backbone learning-rate multiplier applied from task 2 on when
     /// [`MethodConfig::stable_after_first_task`] is set.
+    ///
+    /// `0.0` is a hard freeze, not a zero learning rate: for each local
+    /// session the shared backbone parameters are marked non-trainable, so
+    /// they get no gradient (the backward pass skips their closures and
+    /// weight GEMMs), do not count toward the [`MethodConfig::clip`] norm,
+    /// and have no optimizer state. Their values stay exactly as loaded.
     pub stable_backbone_scale: f32,
     /// Prompt length (tokens per prompt) for prompt-based methods.
     pub prompt_len: usize,
@@ -75,6 +81,15 @@ impl Default for MethodConfig {
             init_seed: 7,
         }
     }
+}
+
+/// Whether `name` belongs to the shared backbone that
+/// [`MethodConfig::stable_after_first_task`] slows or freezes: the feature
+/// extractor, the attention blocks and the classifier.
+pub fn is_shared_backbone(name: &str) -> bool {
+    name.starts_with("backbone.extractor")
+        || name.starts_with("backbone.block")
+        || name.starts_with("backbone.cls")
 }
 
 /// Backbone + parameter store + SGD settings, shared by all strategies.
@@ -134,9 +149,7 @@ impl ModelCore {
             .params
             .iter()
             .map(|(_, e)| {
-                let shared_backbone = e.name.starts_with("backbone.extractor")
-                    || e.name.starts_with("backbone.block")
-                    || e.name.starts_with("backbone.cls");
+                let shared_backbone = is_shared_backbone(&e.name);
                 if stabilize && shared_backbone {
                     self.cfg.stable_backbone_scale
                 } else if e.name.starts_with("backbone.extractor") {
@@ -146,6 +159,18 @@ impl ModelCore {
                 }
             })
             .collect();
+        let frozen: Vec<ParamId> = if stabilize && self.cfg.stable_backbone_scale == 0.0 {
+            self.params
+                .iter()
+                .filter(|(_, e)| e.trainable && is_shared_backbone(&e.name))
+                .map(|(id, _)| id)
+                .collect()
+        } else {
+            Vec::new()
+        };
+        for &id in &frozen {
+            self.params.set_trainable(id, false);
+        }
         let mut opt = Sgd::new(self.cfg.lr)
             .with_momentum(self.cfg.momentum)
             .with_param_lr_scales(scales);
@@ -159,6 +184,9 @@ impl ModelCore {
                 clip_grad_norm(&mut self.params, self.cfg.clip);
                 opt.step(&mut self.params);
             }
+        }
+        for id in frozen {
+            self.params.set_trainable(id, true);
         }
     }
 
@@ -379,6 +407,78 @@ mod tests {
         );
         let after = eval_loss(&mut core);
         assert!(after < before, "loss did not drop: {before} -> {after}");
+    }
+
+    #[test]
+    fn hard_frozen_session_leaves_shared_backbone_untouched() {
+        let cfg = MethodConfig {
+            stable_after_first_task: true,
+            stable_backbone_scale: 0.0,
+            // Tight enough that clipping acts on every step.
+            clip: 1e-3,
+            ..tiny_method_config()
+        };
+        let mut core = ModelCore::new(cfg);
+        let loaded = core.params.clone();
+        let samples = toy_samples(32, 3);
+        let setting = TrainSetting {
+            client_id: 0,
+            task: 1,
+            round: 0,
+            group: ClientGroup::New,
+            samples: &samples,
+            local_epochs: 2,
+            batch_size: 16,
+            seed: 9,
+        };
+        let model = core.model.clone();
+        let mut steps = 0;
+        core.train_local(
+            &setting,
+            |g, p, b| {
+                let out = model.forward(g, p, &b.features, None);
+                g.cross_entropy(out.logits, &b.labels)
+            },
+            |p| {
+                steps += 1;
+                let mut sq = 0.0f32;
+                for (_, e) in p.iter() {
+                    if is_shared_backbone(&e.name) {
+                        assert!(!e.trainable, "{} trainable in a frozen session", e.name);
+                        assert!(
+                            e.grad.data().iter().all(|&g| g == 0.0),
+                            "{} got grad",
+                            e.name
+                        );
+                    } else if e.trainable {
+                        sq += e.grad.data().iter().map(|g| g * g).sum::<f32>();
+                    }
+                }
+                // The clip norm covers exactly the parameters that update.
+                assert_eq!(p.grad_norm().to_bits(), sq.sqrt().to_bits());
+                assert!(sq > 0.0, "nothing left to train");
+            },
+        );
+        assert_eq!(steps, 4);
+        let mut moved = false;
+        for ((_, before), (_, after)) in loaded.iter().zip(core.params.iter()) {
+            assert_eq!(
+                before.trainable, after.trainable,
+                "{}: flag not restored",
+                after.name
+            );
+            let same = before.value.data().iter().map(|x| x.to_bits()).eq(after
+                .value
+                .data()
+                .iter()
+                .map(|x| x.to_bits()));
+            if is_shared_backbone(&after.name) {
+                assert!(same, "{} moved in a frozen session", after.name);
+            } else {
+                moved |= !same;
+            }
+        }
+        assert!(moved, "the unfrozen parameters did not train");
     }
 
     #[test]

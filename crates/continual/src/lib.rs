@@ -35,7 +35,8 @@ mod rehearsal;
 pub(crate) mod testutil;
 
 pub use common::{
-    add_quadratic_penalty_grads, estimate_fisher, MethodConfig, ModelCore, PlainEvalContext,
+    add_quadratic_penalty_grads, estimate_fisher, is_shared_backbone, MethodConfig, ModelCore,
+    PlainEvalContext,
 };
 pub use dualprompt::FedDualPrompt;
 pub use ewc::FedEwc;

@@ -12,7 +12,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use refil_continual::{MethodConfig, ModelCore};
+use refil_continual::{is_shared_backbone, MethodConfig, ModelCore};
 use refil_fed::{
     ClientGroup, ClientUpdate, DomainEvaluator, EvalContext, FdilStrategy, GlobalPromptBroadcast,
     PromptUpload, RoundContext, SessionOutput, Telemetry, TrainSetting, WireMessage,
@@ -88,12 +88,17 @@ pub struct RefFiLConfig {
     /// round updates once the task-0 warm-up has trained the shared
     /// backbone; from task 1 on the extractor, attention blocks, and
     /// classifier are FLEX-style frozen at the last globally aggregated
-    /// weights, locally and over the wire. This is the communication-light
-    /// deployment the paper motivates: prompts are the learned state that
-    /// travels, and the steady-state uplink shrinks to the prompt
-    /// machinery's footprint. At bench scale it trades accuracy for bytes —
-    /// the from-scratch backbone here keeps benefiting from aggregation,
-    /// unlike the paper's pretrained frozen ViT (see `BENCH_wire.json`).
+    /// weights, locally and over the wire. Locally this is a hard freeze
+    /// (`stable_backbone_scale = 0.0`, see
+    /// [`MethodConfig::stable_backbone_scale`]): those parameters are
+    /// non-trainable for each session, get no gradient, do not count
+    /// toward the clip norm, and have no optimizer state. This is the
+    /// communication-light deployment the paper motivates: prompts are the
+    /// learned state that travels, and the steady-state uplink shrinks to
+    /// the prompt machinery's footprint. At bench scale it trades accuracy
+    /// for bytes — the from-scratch backbone here keeps benefiting from
+    /// aggregation, unlike the paper's pretrained frozen ViT (see
+    /// `BENCH_wire.json`).
     #[serde(default)]
     pub prompt_only: bool,
 }
@@ -274,7 +279,7 @@ impl RefFiL {
                 data.extend_from_slice(&s.features);
             }
             let x = Tensor::from_vec(data, &[samples.len(), dim_in]);
-            let g = Graph::new();
+            let g = Graph::inference();
             let (_, tokens) = self.model.tokenize(&g, params, &x);
             let pv = Self::local_prompts(
                 &self.model,
@@ -575,10 +580,7 @@ impl FdilStrategy for RefFiL {
         let mut off = 0u32;
         for (_, e) in self.core.params.iter() {
             let n = e.value.numel() as u32;
-            let shared_backbone = e.name.starts_with("backbone.extractor")
-                || e.name.starts_with("backbone.block")
-                || e.name.starts_with("backbone.cls");
-            if !shared_backbone {
+            if !is_shared_backbone(&e.name) {
                 mask.extend(off..off + n);
             }
             off += n;
@@ -684,7 +686,7 @@ impl FdilStrategy for RefFiL {
 
     fn cls_embeddings(&mut self, global: &[f32], features: &Tensor) -> Vec<Vec<f32>> {
         self.core.load(global);
-        let g = Graph::new();
+        let g = Graph::inference();
         let (feat, tokens) = self.model.tokenize(&g, &self.core.params, features);
         let prompts = Self::local_prompts(
             &self.model,

@@ -16,7 +16,7 @@
 //! forward accumulation per output element is the same floating-point chain.
 
 use crate::gemm::{gemm, gemm_nt, gemm_tn, naive_forced};
-use crate::graph::{Graph, Var};
+use crate::graph::{skipped, Graph, Var};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -193,7 +193,7 @@ impl Graph {
             value,
             vec![x, w, bias],
             self.bw(|| {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, need, scr| {
                     let (xv, wv) = (p[0], p[1]);
                     if naive_forced() {
                         // Pre-PR path for the A/B escape hatch: gathered loops
@@ -232,46 +232,55 @@ impl Graph {
                     }
                     let key = (b, c_in, l, k, pad);
                     let ckl = c_in * k * l_out;
-                    // Rebuild the column matrix from the parent value instead of
-                    // capturing the forward buffer, so the pool stays small.
-                    let mut cols = take_cols(key, b * ckl);
-                    im2col(xv.data(), &mut cols, b, c_in, l, k, pad);
-                    let mut dcols = take_cols(key, b * ckl);
-                    let mut dw = scr.take_zeroed(c_out * c_in * k);
-                    let mut db = scr.take_zeroed(c_out);
-                    for bi in 0..b {
-                        for (co, db_co) in db.iter_mut().enumerate() {
-                            for lo in 0..l_out {
-                                *db_co += g.data()[(bi * c_out + co) * l_out + lo];
+                    let db = if need[2] {
+                        let mut db = scr.take_zeroed(c_out);
+                        for bi in 0..b {
+                            for (co, db_co) in db.iter_mut().enumerate() {
+                                for lo in 0..l_out {
+                                    *db_co += g.data()[(bi * c_out + co) * l_out + lo];
+                                }
                             }
                         }
-                    }
-                    for bi in 0..b {
-                        let gs = &g.data()[bi * c_out * l_out..(bi + 1) * c_out * l_out];
-                        // dw += g_bi · cols_biᵀ: per weight the terms arrive in the
-                        // same (bi, lo) order as the old nested loop.
-                        gemm_nt(
-                            gs,
-                            &cols[bi * ckl..(bi + 1) * ckl],
-                            &mut dw,
-                            c_out,
-                            l_out,
-                            c_in * k,
-                        );
+                        Tensor::from_vec(db, &[c_out])
+                    } else {
+                        skipped()
+                    };
+                    let dw = if need[1] {
+                        // Rebuild the column matrix from the parent value
+                        // instead of capturing the forward buffer, so the
+                        // pool stays small.
+                        let mut cols = take_cols(key, b * ckl);
+                        im2col(xv.data(), &mut cols, b, c_in, l, k, pad);
+                        let mut dw = scr.take_zeroed(c_out * c_in * k);
+                        for bi in 0..b {
+                            let gs = &g.data()[bi * c_out * l_out..(bi + 1) * c_out * l_out];
+                            // dw += g_bi · cols_biᵀ: per weight the terms arrive
+                            // in the same (bi, lo) order as the old nested loop.
+                            let cols_bi = &cols[bi * ckl..(bi + 1) * ckl];
+                            gemm_nt(gs, cols_bi, &mut dw, c_out, l_out, c_in * k);
+                        }
+                        recycle_cols(key, cols);
+                        Tensor::from_vec(dw, &[c_out, c_in, k])
+                    } else {
+                        skipped()
+                    };
+                    let dx = if need[0] {
                         // dcols_bi = wᵀ · g_bi, scattered back onto dx below.
-                        let dcols_bi = &mut dcols[bi * ckl..(bi + 1) * ckl];
-                        dcols_bi.fill(0.0);
-                        gemm_tn(wv.data(), gs, dcols_bi, c_in * k, c_out, l_out);
-                    }
-                    let mut dx = scr.take_zeroed(b * c_in * l);
-                    col2im_add(&dcols, &mut dx, b, c_in, l, k, pad);
-                    recycle_cols(key, cols);
-                    recycle_cols(key, dcols);
-                    vec![
-                        Tensor::from_vec(dx, &[b, c_in, l]),
-                        Tensor::from_vec(dw, &[c_out, c_in, k]),
-                        Tensor::from_vec(db, &[c_out]),
-                    ]
+                        let mut dcols = take_cols(key, b * ckl);
+                        for bi in 0..b {
+                            let gs = &g.data()[bi * c_out * l_out..(bi + 1) * c_out * l_out];
+                            let dcols_bi = &mut dcols[bi * ckl..(bi + 1) * ckl];
+                            dcols_bi.fill(0.0);
+                            gemm_tn(wv.data(), gs, dcols_bi, c_in * k, c_out, l_out);
+                        }
+                        let mut dx = scr.take_zeroed(b * c_in * l);
+                        col2im_add(&dcols, &mut dx, b, c_in, l, k, pad);
+                        recycle_cols(key, dcols);
+                        Tensor::from_vec(dx, &[b, c_in, l])
+                    } else {
+                        skipped()
+                    };
+                    vec![dx, dw, db]
                 })
             }),
         )
@@ -310,7 +319,7 @@ impl Graph {
             value,
             vec![x],
             self.bw(|| {
-                Box::new(move |g, _, _, scr| {
+                Box::new(move |g, _, _, _, scr| {
                     let inv = 1.0 / window as f32;
                     let mut dx = scr.take_zeroed(b * c * l);
                     for bc in 0..b * c {

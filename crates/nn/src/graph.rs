@@ -207,13 +207,29 @@ impl Drop for Scratch {
     }
 }
 
-pub(crate) type BackwardFn = Box<dyn Fn(&Tensor, &[&Tensor], &Tensor, &mut Scratch) -> Vec<Tensor>>;
+/// A node's backward closure: `(upstream grad, parent values, own value,
+/// per-parent need mask, scratch) -> one gradient per parent`.
+///
+/// `need[i]` is false when parent `i` has no trainable ancestor; the walk
+/// drops that parent's gradient unread, so a closure may skip its work and
+/// return [`skipped`] in that slot.
+pub(crate) type BackwardFn =
+    Box<dyn Fn(&Tensor, &[&Tensor], &Tensor, &[bool], &mut Scratch) -> Vec<Tensor>>;
+
+/// Placeholder gradient for a parent whose need-mask entry is false.
+pub(crate) fn skipped() -> Tensor {
+    Tensor::from_vec(Vec::new(), &[0])
+}
 
 struct Node {
     value: Tensor,
     parents: Vec<usize>,
     backward: Option<BackwardFn>,
     param: Option<ParamId>,
+    /// Whether a gradient flowing into this node can reach a trainable
+    /// parameter: set on trainable parameter leaves and on every node with
+    /// such a parent. The backward walk skips nodes without it.
+    needs_grad: bool,
 }
 
 /// A reverse-mode autodiff tape.
@@ -392,14 +408,23 @@ impl Graph {
         param: Option<ParamId>,
     ) -> Var {
         let mut nodes = self.nodes.borrow_mut();
+        let needs_grad = parents.iter().any(|&p| nodes[p].needs_grad);
         let id = nodes.len();
         nodes.push(Node {
             value,
             parents,
-            backward,
+            // A closure the walk will never call is dropped right away.
+            backward: backward.filter(|_| needs_grad),
             param,
+            needs_grad,
         });
         Var { id }
+    }
+
+    /// Whether a gradient at `v` can reach a trainable parameter. Always
+    /// false on inference graphs.
+    pub(crate) fn needs_grad(&self, v: Var) -> bool {
+        self.nodes.borrow()[v.id].needs_grad
     }
 
     /// Crate-internal: appends a node whose backward closure (if any) the
@@ -419,8 +444,9 @@ impl Graph {
         self.push(value, parents, backward, None)
     }
 
-    /// Creates a leaf tied to a parameter; gradients flow into `params` on
-    /// [`Graph::backward`].
+    /// Creates a leaf tied to a parameter. If the parameter is trainable,
+    /// gradients flow into `params` on [`Graph::backward`]; a frozen
+    /// parameter gets none, and neither do ops whose only inputs are frozen.
     pub fn param(&self, params: &Params, id: ParamId) -> Var {
         let t = params.value(id);
         let v = if self.inference {
@@ -428,7 +454,9 @@ impl Graph {
         } else {
             t.clone()
         };
-        self.push(v, vec![], None, Some(id))
+        let v = self.push(v, vec![], None, Some(id));
+        self.nodes.borrow_mut()[v.id].needs_grad = !self.inference && params.entry(id).trainable;
+        v
     }
 
     /// Creates a constant leaf (no gradient).
@@ -465,7 +493,12 @@ impl Graph {
     }
 
     /// Runs reverse-mode autodiff from the scalar `root`, accumulating
-    /// parameter gradients into `params`.
+    /// gradients into the trainable parameters of `params`.
+    ///
+    /// Only nodes with a trainable ancestor are visited: the rest of the
+    /// tape runs no backward closure, and a closure is told (through its
+    /// need mask) which parents' gradients will be read. Saved activations
+    /// may be consumed, so a tape supports one backward pass.
     ///
     /// # Panics
     ///
@@ -483,9 +516,14 @@ impl Graph {
             "backward root must be scalar, got shape {:?}",
             nodes[root.id].value.shape()
         );
+        if !nodes[root.id].needs_grad {
+            return;
+        }
         let mut grads: Vec<Option<Tensor>> = Vec::with_capacity(root.id + 1);
         grads.resize_with(root.id + 1, || None);
         grads[root.id] = Some(Tensor::ones(nodes[root.id].value.shape()));
+        let mut need: Vec<bool> = Vec::new();
+        // Invariant: only nodes with `needs_grad` ever hold a gradient.
         for i in (0..=root.id).rev() {
             let Some(g) = grads[i].take() else { continue };
             let node = &nodes[i];
@@ -493,10 +531,16 @@ impl Graph {
                 params.grad_mut(pid).axpy(1.0, &g);
             }
             if let Some(bw) = &node.backward {
+                need.clear();
+                need.extend(node.parents.iter().map(|&p| nodes[p].needs_grad));
                 let pvals: Vec<&Tensor> = node.parents.iter().map(|&p| &nodes[p].value).collect();
-                let pgrads = bw(&g, &pvals, &node.value, &mut scratch);
+                let pgrads = bw(&g, &pvals, &node.value, &need, &mut scratch);
                 debug_assert_eq!(pgrads.len(), node.parents.len());
-                for (&p, pg) in node.parents.iter().zip(pgrads) {
+                for ((&p, &wanted), pg) in node.parents.iter().zip(&need).zip(pgrads) {
+                    if !wanted {
+                        scratch.recycle(pg.into_vec());
+                        continue;
+                    }
                     match &mut grads[p] {
                         Some(acc) => {
                             acc.axpy(1.0, &pg);
@@ -523,7 +567,7 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, _, _, scr| {
+                Box::new(|g, _, _, _, scr| {
                     vec![
                         Tensor::from_vec(scr.take_copied(g.data()), g.shape()),
                         Tensor::from_vec(scr.take_copied(g.data()), g.shape()),
@@ -541,7 +585,7 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, _, _, scr| {
+                Box::new(|g, _, _, _, scr| {
                     let mut db = scr.take_copied(g.data());
                     for x in &mut db {
                         *x = -*x;
@@ -563,7 +607,7 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, p, _, _scr| {
+                Box::new(|g, p, _, _, _scr| {
                     vec![g.zip(p[1], |gi, bi| gi * bi), g.zip(p[0], |gi, ai| gi * ai)]
                 })
             }),
@@ -578,7 +622,7 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, p, _, _scr| {
+                Box::new(|g, p, _, _, _scr| {
                     let da = g.zip(p[1], |gi, bi| gi / bi);
                     let mut db = g.zip(p[0], |gi, ai| gi * ai);
                     db = db.zip(p[1], |x, bi| -x / (bi * bi));
@@ -595,7 +639,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, _, _scr| vec![g.map(|x| -x)])),
+            self.bw(|| Box::new(|g, _, _, _, _scr| vec![g.map(|x| -x)])),
             None,
         )
     }
@@ -606,7 +650,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(move |g, _, _, _scr| vec![g.map(|x| x * c)])),
+            self.bw(|| Box::new(move |g, _, _, _, _scr| vec![g.map(|x| x * c)])),
             None,
         )
     }
@@ -618,7 +662,7 @@ impl Graph {
             v,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(|g, _, _, scr| {
+                Box::new(|g, _, _, _, scr| {
                     vec![Tensor::from_vec(scr.take_copied(g.data()), g.shape())]
                 })
             }),
@@ -637,33 +681,62 @@ impl Graph {
             v,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(
-                    |g, p, _, _scr| vec![g.zip(p[0], |gi, xi| if xi > 0.0 { gi } else { 0.0 })],
-                )
+                Box::new(|g, p, _, _, _scr| {
+                    vec![g.zip(p[0], |gi, xi| if xi > 0.0 { gi } else { 0.0 })]
+                })
             }),
             None,
         )
     }
 
-    /// Gaussian error linear unit (tanh approximation). Under
-    /// [`crate::KernelPolicy::Fast`] the forward value routes to the
-    /// vectorized rational-tanh kernel in [`crate::gemm_fast::gelu_fast`]
-    /// (libm `tanhf` dominates backbone inference otherwise); the backward
-    /// closure keeps the exact derivative in both policies.
+    /// Gaussian error linear unit (tanh approximation).
+    ///
+    /// When `a` needs a gradient, the forward evaluates
+    /// `t = tanh(C·(x + 0.044715·x³))` once per element and hands `t`'s
+    /// buffer (taken from the backward scratch pool) to the backward
+    /// closure, which turns it in place into the input gradient with the
+    /// same arithmetic as the from-scratch derivative, so no `tanhf` runs
+    /// twice. Forward-only uses (inference graphs, inputs with no trainable
+    /// ancestor) compute the value alone; under
+    /// [`crate::KernelPolicy::Fast`] they route to the vectorized
+    /// rational-tanh kernel in [`crate::gemm_fast::gelu_fast`] (libm `tanhf`
+    /// dominates backbone inference otherwise).
     pub fn gelu(&self, a: Var) -> Var {
-        let v = if crate::gemm::fast_enabled() {
+        if !self.needs_grad(a) {
+            let v = if crate::gemm::fast_enabled() {
+                let nodes = self.nodes.borrow();
+                let av = &nodes[a.id].value;
+                let mut out = self.out_cleared(av.numel());
+                crate::gemm_fast::gelu_fast(av.data(), &mut out);
+                Tensor::from_vec(out, av.shape())
+            } else {
+                self.unary_value(a, gelu_fwd)
+            };
+            return self.push(v, self.deps(&[a.id]), None, None);
+        }
+        let (v, t) = {
             let nodes = self.nodes.borrow();
             let av = &nodes[a.id].value;
-            let mut out = self.out_cleared(av.numel());
-            crate::gemm_fast::gelu_fast(av.data(), &mut out);
-            Tensor::from_vec(out, av.shape())
-        } else {
-            self.unary_value(a, gelu_fwd)
+            let mut t = self.scratch.borrow_mut().take_cleared(av.numel());
+            t.extend(av.data().iter().map(|&x| gelu_tanh(x)));
+            let mut out = Vec::with_capacity(av.numel());
+            out.extend(av.data().iter().zip(&t).map(|(&x, &t)| 0.5 * x * (1.0 + t)));
+            (Tensor::from_vec(out, av.shape()), t)
         };
+        let t = Cell::new(t);
         self.push(
             v,
-            self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, p, _, _scr| vec![g.zip(p[0], |gi, xi| gi * gelu_bwd(xi))])),
+            vec![a.id],
+            Some(Box::new(move |g, p, _, _, _scr| {
+                // The tanh buffer becomes the input gradient, which the walk
+                // recycles into the scratch pool once consumed.
+                let mut dx = t.take();
+                assert_eq!(dx.len(), g.numel(), "gelu backward ran twice on one tape");
+                for ((d, &gi), &xi) in dx.iter_mut().zip(g.data()).zip(p[0].data()) {
+                    *d = gi * gelu_bwd_from_tanh(xi, *d);
+                }
+                vec![Tensor::from_vec(dx, g.shape())]
+            })),
             None,
         )
     }
@@ -674,7 +747,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * (1.0 - yi * yi))])),
+            self.bw(|| Box::new(|g, _, y, _, _scr| vec![g.zip(y, |gi, yi| gi * (1.0 - yi * yi))])),
             None,
         )
     }
@@ -685,7 +758,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * yi * (1.0 - yi))])),
+            self.bw(|| Box::new(|g, _, y, _, _scr| vec![g.zip(y, |gi, yi| gi * yi * (1.0 - yi))])),
             None,
         )
     }
@@ -696,7 +769,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi * yi)])),
+            self.bw(|| Box::new(|g, _, y, _, _scr| vec![g.zip(y, |gi, yi| gi * yi)])),
             None,
         )
     }
@@ -707,7 +780,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, p, _, _scr| vec![g.zip(p[0], |gi, xi| gi / xi)])),
+            self.bw(|| Box::new(|g, p, _, _, _scr| vec![g.zip(p[0], |gi, xi| gi / xi)])),
             None,
         )
     }
@@ -718,7 +791,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, y, _scr| vec![g.zip(y, |gi, yi| gi / (2.0 * yi))])),
+            self.bw(|| Box::new(|g, _, y, _, _scr| vec![g.zip(y, |gi, yi| gi / (2.0 * yi))])),
             None,
         )
     }
@@ -751,19 +824,26 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, need, scr| {
                     // da = g · bᵀ and db = aᵀ · g through the layout-aware
                     // kernels: no transposed copies, same accumulation order.
                     let (m, k) = (p[0].shape()[0], p[0].shape()[1]);
                     let n = p[1].shape()[1];
-                    let mut da = scr.take_zeroed(m * k);
-                    gemm_nt(g.data(), p[1].data(), &mut da, m, n, k);
-                    let mut db = scr.take_zeroed(k * n);
-                    gemm_tn(p[0].data(), g.data(), &mut db, k, m, n);
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(db, p[1].shape()),
-                    ]
+                    let da = if need[0] {
+                        let mut da = scr.take_zeroed(m * k);
+                        gemm_nt(g.data(), p[1].data(), &mut da, m, n, k);
+                        Tensor::from_vec(da, p[0].shape())
+                    } else {
+                        skipped()
+                    };
+                    let db = if need[1] {
+                        let mut db = scr.take_zeroed(k * n);
+                        gemm_tn(p[0].data(), g.data(), &mut db, k, m, n);
+                        Tensor::from_vec(db, p[1].shape())
+                    } else {
+                        skipped()
+                    };
+                    vec![da, db]
                 })
             }),
             None,
@@ -793,18 +873,25 @@ impl Graph {
             v,
             self.deps(&[a.id, bt.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, need, scr| {
                     let (m, k) = (p[0].shape()[0], p[0].shape()[1]);
                     let n = p[1].shape()[0];
                     // da = g · bt (plain product); dbt = gᵀ · a.
-                    let mut da = scr.take_zeroed(m * k);
-                    gemm(g.data(), p[1].data(), &mut da, m, n, k);
-                    let mut dbt = scr.take_zeroed(n * k);
-                    gemm_tn(g.data(), p[0].data(), &mut dbt, n, m, k);
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(dbt, p[1].shape()),
-                    ]
+                    let da = if need[0] {
+                        let mut da = scr.take_zeroed(m * k);
+                        gemm(g.data(), p[1].data(), &mut da, m, n, k);
+                        Tensor::from_vec(da, p[0].shape())
+                    } else {
+                        skipped()
+                    };
+                    let dbt = if need[1] {
+                        let mut dbt = scr.take_zeroed(n * k);
+                        gemm_tn(g.data(), p[0].data(), &mut dbt, n, m, k);
+                        Tensor::from_vec(dbt, p[1].shape())
+                    } else {
+                        skipped()
+                    };
+                    vec![da, dbt]
                 })
             }),
             None,
@@ -839,22 +926,32 @@ impl Graph {
             v,
             self.deps(&[a.id, b.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, need, scr| {
                     let (bb, m, k) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
                     let n = p[1].shape()[2];
-                    let mut da = scr.take_zeroed(bb * m * k);
-                    let mut db = scr.take_zeroed(bb * k * n);
-                    for bi in 0..bb {
-                        let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
-                        let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
-                        let bvs = &p[1].data()[bi * k * n..(bi + 1) * k * n];
-                        gemm_nt(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
-                        gemm_tn(avs, gs, &mut db[bi * k * n..(bi + 1) * k * n], k, m, n);
-                    }
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(db, p[1].shape()),
-                    ]
+                    let da = if need[0] {
+                        let mut da = scr.take_zeroed(bb * m * k);
+                        for bi in 0..bb {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let bvs = &p[1].data()[bi * k * n..(bi + 1) * k * n];
+                            gemm_nt(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
+                        }
+                        Tensor::from_vec(da, p[0].shape())
+                    } else {
+                        skipped()
+                    };
+                    let db = if need[1] {
+                        let mut db = scr.take_zeroed(bb * k * n);
+                        for bi in 0..bb {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
+                            gemm_tn(avs, gs, &mut db[bi * k * n..(bi + 1) * k * n], k, m, n);
+                        }
+                        Tensor::from_vec(db, p[1].shape())
+                    } else {
+                        skipped()
+                    };
+                    vec![da, db]
                 })
             }),
             None,
@@ -893,22 +990,32 @@ impl Graph {
             v,
             self.deps(&[a.id, bt.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, need, scr| {
                     let (bb, m, k) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
                     let n = p[1].shape()[1];
-                    let mut da = scr.take_zeroed(bb * m * k);
-                    let mut dbt = scr.take_zeroed(bb * n * k);
-                    for bi in 0..bb {
-                        let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
-                        let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
-                        let bvs = &p[1].data()[bi * n * k..(bi + 1) * n * k];
-                        gemm(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
-                        gemm_tn(gs, avs, &mut dbt[bi * n * k..(bi + 1) * n * k], n, m, k);
-                    }
-                    vec![
-                        Tensor::from_vec(da, p[0].shape()),
-                        Tensor::from_vec(dbt, p[1].shape()),
-                    ]
+                    let da = if need[0] {
+                        let mut da = scr.take_zeroed(bb * m * k);
+                        for bi in 0..bb {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let bvs = &p[1].data()[bi * n * k..(bi + 1) * n * k];
+                            gemm(gs, bvs, &mut da[bi * m * k..(bi + 1) * m * k], m, n, k);
+                        }
+                        Tensor::from_vec(da, p[0].shape())
+                    } else {
+                        skipped()
+                    };
+                    let dbt = if need[1] {
+                        let mut dbt = scr.take_zeroed(bb * n * k);
+                        for bi in 0..bb {
+                            let gs = &g.data()[bi * m * n..(bi + 1) * m * n];
+                            let avs = &p[0].data()[bi * m * k..(bi + 1) * m * k];
+                            gemm_tn(gs, avs, &mut dbt[bi * n * k..(bi + 1) * n * k], n, m, k);
+                        }
+                        Tensor::from_vec(dbt, p[1].shape())
+                    } else {
+                        skipped()
+                    };
+                    vec![da, dbt]
                 })
             }),
             None,
@@ -973,31 +1080,35 @@ impl Graph {
             v,
             self.deps(&[x.id, w.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, need, scr| {
                     let (b, s, d) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
                     let h = p[1].shape()[1];
-                    let mut dx = scr.take_zeroed(b * s * d);
-                    let mut dw = scr.take_zeroed(s * h);
-                    for bi in 0..b {
-                        let gs = &g.data()[bi * d * h..(bi + 1) * d * h];
-                        let xs = &p[0].data()[bi * s * d..(bi + 1) * s * d];
-                        // dx_b = w · g_bᵀ  (layout-aware, no transposed copy);
-                        // dw  += x_b · g_b, accumulated batch-by-batch in the
-                        // same (batch, row) order as the flattened composite.
-                        gemm_nt(
-                            p[1].data(),
-                            gs,
-                            &mut dx[bi * s * d..(bi + 1) * s * d],
-                            s,
-                            h,
-                            d,
-                        );
-                        gemm(xs, gs, &mut dw[..], s, d, h);
-                    }
-                    vec![
-                        Tensor::from_vec(dx, p[0].shape()),
-                        Tensor::from_vec(dw, p[1].shape()),
-                    ]
+                    // dx_b = w · g_bᵀ  (layout-aware, no transposed copy).
+                    let dx = if need[0] {
+                        let mut dx = scr.take_zeroed(b * s * d);
+                        for bi in 0..b {
+                            let gs = &g.data()[bi * d * h..(bi + 1) * d * h];
+                            let dxs = &mut dx[bi * s * d..(bi + 1) * s * d];
+                            gemm_nt(p[1].data(), gs, dxs, s, h, d);
+                        }
+                        Tensor::from_vec(dx, p[0].shape())
+                    } else {
+                        skipped()
+                    };
+                    // dw += x_b · g_b, accumulated batch-by-batch in the same
+                    // (batch, row) order as the flattened composite.
+                    let dw = if need[1] {
+                        let mut dw = scr.take_zeroed(s * h);
+                        for bi in 0..b {
+                            let gs = &g.data()[bi * d * h..(bi + 1) * d * h];
+                            let xs = &p[0].data()[bi * s * d..(bi + 1) * s * d];
+                            gemm(xs, gs, &mut dw, s, d, h);
+                        }
+                        Tensor::from_vec(dw, p[1].shape())
+                    } else {
+                        skipped()
+                    };
+                    vec![dx, dw]
                 })
             }),
             None,
@@ -1029,7 +1140,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, _, _scr| vec![g.transpose_last()])),
+            self.bw(|| Box::new(|g, _, _, _, _scr| vec![g.transpose_last()])),
             None,
         )
     }
@@ -1053,7 +1164,7 @@ impl Graph {
             v,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, _, scr| {
                     vec![Tensor::from_vec(scr.take_copied(g.data()), p[0].shape())]
                 })
             }),
@@ -1086,7 +1197,7 @@ impl Graph {
         self.push(
             v,
             self.deps(&[a.id]),
-            self.bw(|| Box::new(|g, _, _, _scr| vec![permute_0213_tensor(g)])),
+            self.bw(|| Box::new(|g, _, _, _, _scr| vec![permute_0213_tensor(g)])),
             None,
         )
     }
@@ -1116,7 +1227,7 @@ impl Graph {
             v,
             self.deps(&[x.id, bias.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, _, scr| {
                     let d = *p[1].shape().last().expect("bias shape");
                     let mut db = scr.take_zeroed(d);
                     for row in g.data().chunks(d) {
@@ -1141,7 +1252,7 @@ impl Graph {
             v,
             self.deps(&[x.id, a.id]),
             self.bw(|| {
-                Box::new(|g, p, _, _scr| {
+                Box::new(|g, p, _, _, _scr| {
                     let dx = rows_broadcast(g, p[1], |gi, ai| gi * ai);
                     let da = rows_broadcast_reduce(g, p[0], |gi, xi| gi * xi);
                     vec![dx, da]
@@ -1158,7 +1269,7 @@ impl Graph {
             v,
             self.deps(&[x.id, a.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, _, scr| {
                     let da = rows_broadcast_reduce(g, p[0], |gi, _| gi);
                     vec![Tensor::from_vec(scr.take_copied(g.data()), g.shape()), da]
                 })
@@ -1223,7 +1334,7 @@ impl Graph {
             value,
             self.deps(&parent_ids),
             self.bw(move || {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, _, scr| {
                     let gshape = g.shape();
                     let outer: usize = gshape[..axis_c].iter().product();
                     let inner: usize = gshape[axis_c + 1..].iter().product();
@@ -1278,7 +1389,7 @@ impl Graph {
             value,
             self.deps(&[x.id]),
             self.bw(|| {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, _, scr| {
                     let shape = p[0].shape();
                     let outer: usize = shape[..axis].iter().product();
                     let inner: usize = shape[axis + 1..].iter().product();
@@ -1320,7 +1431,7 @@ impl Graph {
             value,
             self.deps(&[weight.id]),
             self.bw(|| {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, _, scr| {
                     let d = p[0].shape()[1];
                     let mut dw = scr.take_zeroed(p[0].numel());
                     for (row, &i) in idx.iter().enumerate() {
@@ -1353,7 +1464,7 @@ impl Graph {
             v,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, _, scr| {
                     let mut d = scr.take_zeroed(p[0].numel());
                     d.fill(g.data()[0]);
                     vec![Tensor::from_vec(d, p[0].shape())]
@@ -1397,7 +1508,7 @@ impl Graph {
             value,
             self.deps(&[x.id]),
             self.bw(|| {
-                Box::new(|g, p, _, scr| {
+                Box::new(|g, p, _, _, scr| {
                     let (b, t, d) = (p[0].shape()[0], p[0].shape()[1], p[0].shape()[2]);
                     let inv = 1.0 / t as f32;
                     let mut data = scr.take_zeroed(b * t * d);
@@ -1430,7 +1541,7 @@ impl Graph {
             value,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(|g, _, y, scr| {
+                Box::new(|g, _, y, _, scr| {
                     let d = *y.shape().last().expect("softmax 0-d");
                     let mut out = scr.take_zeroed(y.numel());
                     for ((orow, grow), yrow) in out
@@ -1470,7 +1581,7 @@ impl Graph {
             value,
             self.deps(&[a.id]),
             self.bw(|| {
-                Box::new(|g, _, y, scr| {
+                Box::new(|g, _, y, _, scr| {
                     let d = *y.shape().last().expect("log_softmax 0-d");
                     let mut out = scr.take_zeroed(y.numel());
                     for ((orow, grow), yrow) in out
@@ -1517,7 +1628,7 @@ impl Graph {
             value,
             self.deps(&[x.id, gain.id, bias.id]),
             self.bw(|| {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, _, scr| {
                     let xv = p[0];
                     let gv = p[1];
                     let d = *xv.shape().last().expect("layer_norm 0-d");
@@ -1585,7 +1696,7 @@ impl Graph {
             value,
             self.deps(&[x.id]),
             self.bw(|| {
-                Box::new(|g, p, y, scr| {
+                Box::new(|g, p, y, _, scr| {
                     let d = p[0].shape()[1];
                     let mut out = scr.take_zeroed(p[0].numel());
                     for ((orow, grow), (xrow, yrow)) in out
@@ -1638,7 +1749,7 @@ impl Graph {
             value,
             self.deps(&[logits.id]),
             self.bw(|| {
-                Box::new(move |g, p, _, _scr| {
+                Box::new(move |g, p, _, _, _scr| {
                     let (b, k) = (p[0].shape()[0], p[0].shape()[1]);
                     let gs = g.data()[0] / b as f32;
                     let mut dl = softmax_last_tensor(p[0]);
@@ -1694,7 +1805,7 @@ impl Graph {
             value,
             self.deps(&[logits.id]),
             self.bw(|| {
-                Box::new(move |g, p, _, scr| {
+                Box::new(move |g, p, _, _, scr| {
                     let (b, m) = (p[0].shape()[0], p[0].shape()[1]);
                     let gs = g.data()[0] / b as f32;
                     let mut out = scr.take_zeroed(b * m);
@@ -1762,7 +1873,7 @@ impl Graph {
             value,
             self.deps(&[x.id]),
             self.bw(|| {
-                Box::new(move |g, _, _, _scr| {
+                Box::new(move |g, _, _, _, _scr| {
                     let data: Vec<f32> =
                         g.data().iter().zip(&mask).map(|(&gi, &m)| gi * m).collect();
                     vec![Tensor::from_vec(data, g.shape())]
@@ -1781,17 +1892,32 @@ impl Graph {
     }
 }
 
+/// `sqrt(2/pi)`, the GELU tanh-approximation scale.
+const GELU_C: f32 = 0.797_884_6;
+
 /// The tanh-approximated GELU used by the MLP layers.
 fn gelu_fwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6; // sqrt(2/pi)
-    0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh())
+    0.5 * x * (1.0 + gelu_tanh(x))
 }
 
+/// `tanh(C·(x + 0.044715·x³))`, the one transcendental of GELU.
+fn gelu_tanh(x: f32) -> f32 {
+    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+}
+
+/// GELU's derivative at `x`, given `t = gelu_tanh(x)`.
+fn gelu_bwd_from_tanh(x: f32, t: f32) -> f32 {
+    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
+    0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+}
+
+/// GELU's derivative evaluated from scratch: the oracle the cached-tanh
+/// backward is pinned against.
+#[cfg(test)]
 fn gelu_bwd(x: f32) -> f32 {
-    const C: f32 = 0.797_884_6;
-    let inner = C * (x + 0.044715 * x * x * x);
+    let inner = GELU_C * (x + 0.044715 * x * x * x);
     let t = inner.tanh();
-    let dinner = C * (1.0 + 3.0 * 0.044715 * x * x);
+    let dinner = GELU_C * (1.0 + 3.0 * 0.044715 * x * x);
     0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
 }
 
@@ -2509,5 +2635,198 @@ mod tests {
             stats.reserved_count, 0,
             "steady-state replay must not allocate: {stats:?}"
         );
+    }
+
+    /// Gradients of every operand of a two- or three-operand op after a
+    /// `tanh` and a sum, with the operands at `frozen` made non-trainable.
+    fn operand_grads(
+        shapes: &[&[usize]],
+        frozen: &[usize],
+        op: &dyn Fn(&Graph, &[Var]) -> Var,
+    ) -> Vec<Vec<u32>> {
+        let mut rng = StdRng::seed_from_u64(23);
+        let mut params = Params::new();
+        let ids: Vec<ParamId> = shapes
+            .iter()
+            .enumerate()
+            .map(|(i, s)| {
+                let t = Tensor::randn(s, 0.5, &mut rng);
+                params.insert(&format!("p{i}"), t, !frozen.contains(&i))
+            })
+            .collect();
+        let g = Graph::new();
+        let vars: Vec<Var> = ids.iter().map(|&id| g.param(&params, id)).collect();
+        let y = g.tanh(op(&g, &vars));
+        let loss = g.sum_all(y);
+        g.backward(loss, &mut params);
+        ids.iter()
+            .map(|&id| params.grad(id).data().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn trainable_grads_are_bit_identical_with_a_frozen_co_operand() {
+        type Op = Box<dyn Fn(&Graph, &[Var]) -> Var>;
+        let cases: Vec<(&str, Vec<&[usize]>, Op)> = vec![
+            (
+                "matmul",
+                vec![&[3, 4], &[4, 5]],
+                Box::new(|g, v| g.matmul(v[0], v[1])),
+            ),
+            (
+                "matmul_nt",
+                vec![&[3, 4], &[5, 4]],
+                Box::new(|g, v| g.matmul_nt(v[0], v[1])),
+            ),
+            (
+                "bmm",
+                vec![&[2, 3, 4], &[2, 4, 5]],
+                Box::new(|g, v| g.bmm(v[0], v[1])),
+            ),
+            (
+                "bmm_nt",
+                vec![&[2, 3, 4], &[2, 5, 4]],
+                Box::new(|g, v| g.bmm_nt(v[0], v[1])),
+            ),
+            (
+                "matmul_tn_tokens",
+                vec![&[2, 3, 4], &[3, 5]],
+                Box::new(|g, v| g.matmul_tn_tokens(v[0], v[1])),
+            ),
+            (
+                "conv1d",
+                vec![&[2, 3, 6], &[4, 3, 3], &[4]],
+                Box::new(|g, v| g.conv1d(v[0], v[1], v[2], 1)),
+            ),
+        ];
+        for (name, shapes, op) in &cases {
+            let all = operand_grads(shapes, &[], op.as_ref());
+            for frozen in 0..shapes.len() {
+                let got = operand_grads(shapes, &[frozen], op.as_ref());
+                for (i, (want, got)) in all.iter().zip(&got).enumerate() {
+                    if i == frozen {
+                        assert!(
+                            got.iter().all(|&b| b == 0),
+                            "{name}: frozen operand {i} got a gradient"
+                        );
+                    } else {
+                        assert_eq!(want, got, "{name}: operand {i} moved with {frozen} frozen");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_param_gets_no_gradient() {
+        let mut params = Params::new();
+        let a = params.insert("a", Tensor::from_vec(vec![3.0], &[1]), true);
+        let b = params.insert("b", Tensor::from_vec(vec![4.0], &[1]), false);
+        let g = Graph::new();
+        let (av, bv) = (g.param(&params, a), g.param(&params, b));
+        assert!(g.needs_grad(av) && !g.needs_grad(bv));
+        let bb = g.mul(bv, bv);
+        assert!(
+            !g.needs_grad(bb),
+            "an op over frozen inputs needs no gradient"
+        );
+        let y = g.add(g.mul(av, bv), bb); // y = ab + b^2
+        g.backward(y, &mut params);
+        assert_eq!(params.grad(a).data(), &[4.0]);
+        assert_eq!(params.grad(b).data(), &[0.0]);
+    }
+
+    #[test]
+    fn subgraph_without_trainable_ancestor_runs_no_backward_closure() {
+        use std::rc::Rc;
+        let mut params = Params::new();
+        let w = params.insert("w", Tensor::from_vec(vec![2.0, -1.0], &[2]), true);
+        let frozen = params.insert("f", Tensor::from_vec(vec![0.5, 0.25], &[2]), false);
+        let calls = Rc::new(Cell::new(0usize));
+        let g = Graph::new();
+        // A node over a constant and a frozen parameter: its closure must
+        // never run (and is dropped at push).
+        let x = g.input(&Tensor::from_vec(vec![1.0, 3.0], &[2]));
+        let fv = g.param(&params, frozen);
+        let dead = g.push_node(
+            Tensor::from_vec(vec![1.5, 3.25], &[2]),
+            vec![x, fv],
+            Some(Box::new(|_, _, _, _, _| {
+                panic!("closure of a no-grad node ran")
+            })),
+        );
+        assert!(!g.needs_grad(dead));
+        // The same kind of node on the trainable path does run, so the
+        // check above is not vacuous.
+        let wv = g.param(&params, w);
+        let counter = Rc::clone(&calls);
+        let live = g.push_node(
+            g.value(wv),
+            vec![wv],
+            Some(Box::new(move |g, _, _, need, _| {
+                assert_eq!(need, &[true]);
+                counter.set(counter.get() + 1);
+                vec![g.clone()]
+            })),
+        );
+        let y = g.sum_all(g.mul(live, dead));
+        g.backward(y, &mut params);
+        assert_eq!(calls.get(), 1);
+        assert_eq!(params.grad(w).data(), &[1.5, 3.25]);
+        assert_eq!(params.grad(frozen).data(), &[0.0, 0.0]);
+    }
+
+    #[test]
+    fn backward_from_a_root_with_no_trainable_ancestor_is_a_no_op() {
+        let mut params = Params::new();
+        let f = params.insert("f", Tensor::from_vec(vec![2.0], &[1]), false);
+        let g = Graph::new();
+        let fv = g.param(&params, f);
+        let y = g.mul(fv, fv);
+        g.backward(y, &mut params);
+        assert_eq!(params.grad(f).data(), &[0.0]);
+    }
+
+    #[test]
+    fn gelu_cached_tanh_matches_from_scratch_derivative_bitwise() {
+        // Dense grid, signed zeros, subnormals, and magnitudes where tanh
+        // saturates or x³ overflows.
+        let mut xs: Vec<f32> = (-6144..=6144).map(|i| i as f32 / 512.0).collect();
+        xs.extend([
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 7.0,
+            f32::from_bits(1),
+            -f32::from_bits(1),
+            10.000_001,
+            -10.000_001,
+            17.5,
+            -23.25,
+            1.0e3,
+            -4.0e4,
+            1.0e13,
+            -1.0e13,
+            f32::MAX,
+            f32::MIN,
+        ]);
+        let n = xs.len();
+        // Varied upstream gradients, so the `g *` factor is exercised too.
+        let up: Vec<f32> = (0..n).map(|i| 0.75 + (i % 7) as f32 * 0.125).collect();
+        let mut params = Params::new();
+        let x = params.insert("x", Tensor::from_vec(xs.clone(), &[n]), true);
+        let g = Graph::new();
+        let xv = g.param(&params, x);
+        let y = g.gelu(xv);
+        let w = g.constant(Tensor::from_vec(up.clone(), &[n]));
+        let loss = g.sum_all(g.mul(y, w));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let fwd: Vec<f32> = xs.iter().map(|&x| gelu_fwd(x)).collect();
+        assert_eq!(bits(g.value(y).data()), bits(&fwd), "forward");
+        g.backward(loss, &mut params);
+        let bwd: Vec<f32> = xs.iter().zip(&up).map(|(&x, &u)| u * gelu_bwd(x)).collect();
+        assert_eq!(bits(params.grad(x).data()), bits(&bwd), "backward");
     }
 }

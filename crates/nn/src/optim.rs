@@ -76,35 +76,44 @@ impl Sgd {
 
     /// Applies one update to every trainable parameter, then leaves the
     /// gradients untouched (call [`Params::zero_grad`] before the next pass).
+    ///
+    /// Updates in place, element by element:
+    /// `u = g + wd·w; v = mu·v + u; w += (-lr·scale)·v`. Frozen parameters
+    /// are skipped and get no velocity.
     pub fn step(&mut self, params: &mut Params) {
         if self.velocity.len() < params.len() {
             self.velocity.resize(params.len(), None);
         }
-        for (id, entry) in params
-            .iter()
-            .map(|(id, e)| (id, e.trainable))
-            .collect::<Vec<_>>()
-        {
-            if !entry {
+        let (wd, mu) = (self.weight_decay, self.momentum);
+        for (idx, entry) in params.entries_mut().iter_mut().enumerate() {
+            if !entry.trainable {
                 continue;
-            }
-            let idx = id.index();
-            let mut update = params.grad(id).clone();
-            if self.weight_decay != 0.0 {
-                update.axpy(self.weight_decay, params.value(id));
-            }
-            if self.momentum != 0.0 {
-                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(update.shape()));
-                v.scale_inplace(self.momentum);
-                v.axpy(1.0, &update);
-                update = v.clone();
             }
             let scale = self
                 .lr_scales
                 .as_ref()
                 .and_then(|s| s.get(idx).copied())
                 .unwrap_or(1.0);
-            params.value_mut(id).axpy(-self.lr * scale, &update);
+            let alpha = -self.lr * scale;
+            let mut velocity = if mu != 0.0 {
+                let v = self.velocity[idx].get_or_insert_with(|| Tensor::zeros(entry.grad.shape()));
+                Some(v.data_mut())
+            } else {
+                None
+            };
+            let w = entry.value.data_mut();
+            for (i, (wi, &gi)) in w.iter_mut().zip(entry.grad.data()).enumerate() {
+                let mut u = gi;
+                if wd != 0.0 {
+                    u += wd * *wi;
+                }
+                if let Some(v) = velocity.as_deref_mut() {
+                    v[i] *= mu;
+                    v[i] += u;
+                    u = v[i];
+                }
+                *wi += alpha * u;
+            }
         }
     }
 

@@ -149,6 +149,20 @@ impl Params {
         &self.entries[id.0]
     }
 
+    /// Freezes (`false`) or unfreezes (`true`) `id`. A frozen parameter gets
+    /// no gradient from [`Graph::backward`](crate::Graph::backward), is
+    /// skipped by the optimizers, and does not count toward
+    /// [`Params::grad_norm`].
+    pub fn set_trainable(&mut self, id: ParamId, trainable: bool) {
+        self.entries[id.0].trainable = trainable;
+    }
+
+    /// Mutable access to every entry, for in-place optimizer updates. Crate
+    /// internal: entry names must stay in sync with the name index.
+    pub(crate) fn entries_mut(&mut self) -> &mut [ParamEntry] {
+        &mut self.entries
+    }
+
     /// Iterates over `(ParamId, &ParamEntry)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ParamId, &ParamEntry)> {
         self.entries
