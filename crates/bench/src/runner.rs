@@ -82,7 +82,7 @@ pub fn run_experiment_with_threads(
 
 /// Like [`run_experiment_with_threads`], additionally overriding the uplink
 /// compression spec (`wire = None` keeps the dataset default, i.e. the
-/// identity spec). This is the loopback counterpart of the networked
+/// identity spec). This is the in-process counterpart of the networked
 /// `--wire` flag: same config knob, same byte accounting.
 pub fn run_experiment_with_wire(
     spec: &ExperimentSpec,

@@ -40,8 +40,8 @@ pub struct RunConfig {
     /// wall time, so this field is inert for determinism.
     #[serde(default)]
     pub threads: usize,
-    /// Networked-server options; inert on the in-process paths, so adding
-    /// (or changing) them cannot perturb a loopback or direct run.
+    /// Networked-server options; inert on the in-process transport, so
+    /// adding (or changing) them cannot perturb an in-process run.
     #[serde(default)]
     pub net: NetConfig,
     /// Uplink payload-compression options (delta / quantization / top-k).
@@ -128,7 +128,7 @@ pub struct NetConfig {
     /// Sampled participation: the fraction of each round's planned
     /// sessions that actually train, drawn seed-deterministically (from
     /// `seed`, task, and round — never from the main selection RNG, so
-    /// enabling sampling perturbs nothing else, and loopback ≡ networked
+    /// enabling sampling perturbs nothing else, and in-process ≡ networked
     /// stays byte-identical). `0.0` — the default, and what serialized
     /// configs from before this knob decode to — disables sampling (full
     /// participation); a value in `(0, 1]` keeps `ceil(fraction · n)`

@@ -5,12 +5,13 @@
 //! # Three-layer split
 //!
 //! The round *protocol* (selection, FedAvg, ordered merges, evaluation)
-//! lives in the runner and never changes between the in-process and
-//! networked paths. This module adds the middle layer — a server-side
-//! [`ServeState`] reactor that assigns planned sessions to connected peers
-//! and collects their results under a deadline, plus the client-side
-//! replica loops — on top of the bottom layer, `refil-wire`'s
-//! peer-addressed [`Link`]/[`Listener`] transports.
+//! lives in the runner's round engine and never changes between the
+//! in-process and networked transports. This module adds the middle layer —
+//! a server-side [`ServeState`] reactor, the engine's served transport,
+//! that assigns planned sessions to connected peers and collects their
+//! results under a deadline, plus the client-side replica loops — on top of
+//! the bottom layer, `refil-wire`'s peer-addressed [`Link`]/[`Listener`]
+//! transports.
 //!
 //! # The reactor
 //!
@@ -62,7 +63,7 @@
 //! compressed form `CompressedModelUpdate`, merge
 //! messages) ride *inside* control frames as nested encoded frames, so the
 //! per-logical-client traffic accounting of a networked run is
-//! byte-identical to the loopback run's. Physical per-peer socket traffic
+//! byte-identical to the in-process run's. Physical per-peer socket traffic
 //! is reported separately through `net.*` telemetry counters.
 //!
 //! # Deadline semantics
@@ -77,19 +78,18 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use refil_data::FdilDataset;
-use refil_telemetry::SessionStat;
-use refil_telemetry::Telemetry;
+use refil_telemetry::{ArenaStats, SessionStat, Telemetry};
 use refil_wire::{
-    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, CompressionSpec,
-    ConnectError, Hello, Interest, Link, Listener, PeerId, PollSet, RecvError, Resume, RoundStart,
-    RoundSync, RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireError,
-    WireMessage, CODEC_REVISION,
+    CompressionSpec, ConnectError, Hello, Interest, Link, Listener, PeerId, PollSet, RecvError,
+    Resume, RoundStart, RoundSync, RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd,
+    Welcome, WireError, WireMessage, CODEC_REVISION,
 };
 
 use crate::config::{NetConfig, RunConfig};
 use crate::increment::{build_schedule, ClientGroup, TaskSchedule};
 use crate::runner::{
-    carry_forward, collect_client_data, distribute_task_data, FdilStrategy, Holdings, TrainSetting,
+    build_uplink, carry_forward, collect_client_data, distribute_task_data, CollectedSession,
+    FdilStrategy, Holdings, RoundCollected, RoundInput, RoundTransport, TrainSetting,
 };
 
 /// How long a joining peer gets to complete the `Hello`/`Welcome` handshake.
@@ -113,7 +113,7 @@ pub fn process_thread_count() -> Option<usize> {
 }
 
 /// Wire group code for a [`ClientGroup`] (`SessionAssignment::group`).
-pub(crate) fn group_code(group: ClientGroup) -> u8 {
+fn group_code(group: ClientGroup) -> u8 {
     match group {
         ClientGroup::Old => 0,
         ClientGroup::Between => 1,
@@ -131,53 +131,28 @@ fn group_from_code(code: u8) -> Option<ClientGroup> {
     }
 }
 
-/// A decoded client uplink: either the plain dense update or the
-/// compression-layer frame the server still has to reconstruct against its
-/// broadcast history.
-pub(crate) enum RemoteUpdate {
-    /// Dense `ClientModelUpdate` (legacy peers, or compression inactive).
-    Plain(WireClientModelUpdate),
-    /// `CompressedModelUpdate` awaiting reconstruction against the broadcast
-    /// tagged `(base_task, base_round)`.
-    Compressed(CompressedModelUpdate),
-}
-
-/// One remote session's collected result, already decoded into exactly what
-/// the aggregate loop consumes on the in-process path.
-pub(crate) struct RemoteSession {
-    /// Decoded nested model update (plain or compressed).
-    pub(crate) update: RemoteUpdate,
-    /// Encoded length of the nested update frame (logical uplink bytes).
-    pub(crate) update_bytes: u64,
-    /// Decoded nested merge message with its frame length, if any.
-    pub(crate) merge: Option<(WireMessage, u64)>,
-    /// Session stat (track 0 — the session ran on a remote peer, not a
-    /// local worker slot; the duration is the client's reported wall time).
-    pub(crate) stat: SessionStat,
-}
-
-/// Decodes a `SessionResult`'s nested frames into a [`RemoteSession`].
-fn remote_session(sr: SessionResult) -> Result<RemoteSession, WireError> {
-    let update_bytes = sr.update.len() as u64;
-    let update = match WireMessage::decode(&sr.update)? {
-        WireMessage::ClientModelUpdate(u) => RemoteUpdate::Plain(u),
-        WireMessage::CompressedModelUpdate(c) => RemoteUpdate::Compressed(c),
-        _ => {
-            return Err(WireError::Malformed(
-                "nested update is not a model update frame",
-            ))
-        }
-    };
+/// Decodes a `SessionResult`'s nested frames into a [`CollectedSession`]:
+/// the model update (which must be a `ClientModelUpdate` or a
+/// `CompressedModelUpdate`) and the optional merge, each with its frame
+/// length. The stat's track is 0 — the session ran on a remote peer, not a
+/// local worker slot; its duration is the client's reported wall time.
+fn remote_session(sr: SessionResult) -> Result<CollectedSession, WireError> {
+    let update = WireMessage::decode(&sr.update)?;
+    if !matches!(
+        update,
+        WireMessage::ClientModelUpdate(_) | WireMessage::CompressedModelUpdate(_)
+    ) {
+        return Err(WireError::Malformed(
+            "nested update is not a model update frame",
+        ));
+    }
     let merge = match sr.merge {
-        Some(frame) => {
-            let bytes = frame.len() as u64;
-            Some((WireMessage::decode(&frame)?, bytes))
-        }
+        Some(frame) => Some((WireMessage::decode(&frame)?, frame.len() as u64)),
         None => None,
     };
-    Ok(RemoteSession {
+    Ok(CollectedSession {
         update,
-        update_bytes,
+        update_bytes: sr.update.len() as u64,
         merge,
         stat: SessionStat {
             client_id: sr.client_id,
@@ -221,16 +196,12 @@ impl Peer {
     /// Queues a frame on the peer's link and accounts the physical bytes.
     /// Returns `false` when the link has failed.
     fn enqueue(&mut self, telemetry: &Telemetry, frame: &[u8]) -> bool {
-        match self.link.enqueue_frame(frame) {
-            Ok(_pending) => {
-                telemetry.counter(
-                    &format!("net.peer.{}.tx_bytes", self.peer_id),
-                    frame.len() as u64,
-                );
-                true
-            }
-            Err(_) => false,
+        let ok = self.link.enqueue_frame(frame).is_ok();
+        if ok {
+            let name = format!("net.peer.{}.tx_bytes", self.peer_id);
+            telemetry.counter(&name, frame.len() as u64);
         }
+        ok
     }
 
     fn handshaked(&self) -> bool {
@@ -238,8 +209,8 @@ impl Peer {
     }
 }
 
-/// Server-side reactor and round state for [`FdilRunner::serve`]
-/// (crate-private: the runner drives it at fixed protocol points).
+/// Server-side reactor and round state for [`FdilRunner::serve`]: the round
+/// engine's served transport (crate-private).
 ///
 /// [`FdilRunner::serve`]: crate::FdilRunner::serve
 pub(crate) struct ServeState<'a> {
@@ -263,16 +234,15 @@ pub(crate) struct ServeState<'a> {
     round_round: u32,
     /// Whether a round is open (between `begin_round` and `collect` return).
     round_open: bool,
-    /// Planned-session client ids, ascending (slot order).
-    expected_cids: Vec<u64>,
-    /// The round's assignments, slot-indexed, for supplementary
-    /// `RoundStart`s when slots are reassigned.
+    /// The round's assignments, slot-indexed (ascending client id): matched
+    /// against incoming results and resent in supplementary `RoundStart`s
+    /// when slots are reassigned.
     assignments: Vec<SessionAssignment>,
     /// The round's broadcast frames, for supplementary `RoundStart`s.
     model_frame: Vec<u8>,
     extra_frame: Option<Vec<u8>>,
     /// Collected results, slot-indexed.
-    slots: Vec<Option<RemoteSession>>,
+    slots: Vec<Option<CollectedSession>>,
     collected: usize,
     /// Slots with no live peer to run them (reassigned to the next joiner).
     orphan_slots: Vec<usize>,
@@ -301,7 +271,6 @@ impl<'a> ServeState<'a> {
             round_task: 0,
             round_round: 0,
             round_open: false,
-            expected_cids: Vec::new(),
             assignments: Vec::new(),
             model_frame: Vec::new(),
             extra_frame: None,
@@ -493,19 +462,11 @@ impl<'a> ServeState<'a> {
             },
         })
         .encode();
-        let ok = {
-            let Self {
-                ref mut peers,
-                ref replay,
-                ref telemetry,
-                ..
-            } = *self;
-            let peer = &mut peers[pi];
-            peer.enqueue(telemetry, &welcome)
-                && replay[replay_from..]
-                    .iter()
-                    .all(|frame| peer.enqueue(telemetry, frame))
-        };
+        let peer = &mut self.peers[pi];
+        let ok = peer.enqueue(&self.telemetry, &welcome)
+            && self.replay[replay_from..]
+                .iter()
+                .all(|frame| peer.enqueue(&self.telemetry, frame));
         if !ok {
             self.disconnect(pi, true);
             return false;
@@ -531,7 +492,10 @@ impl<'a> ServeState<'a> {
             self.telemetry.counter("net.stale_frames", 1);
             return true;
         }
-        let Ok(pos) = self.expected_cids.binary_search(&sr.client_id) else {
+        let Ok(pos) = self
+            .assignments
+            .binary_search_by_key(&sr.client_id, |a| a.client_id)
+        else {
             self.telemetry.counter("net.stale_frames", 1);
             return true;
         };
@@ -636,15 +600,7 @@ impl<'a> ServeState<'a> {
             sessions,
         })
         .encode();
-        let ok = {
-            let Self {
-                ref mut peers,
-                ref telemetry,
-                ..
-            } = *self;
-            peers[pi].enqueue(telemetry, &frame)
-        };
-        if !ok {
+        if !self.peers[pi].enqueue(&self.telemetry, &frame) {
             self.disconnect(pi, true);
             self.reassign(slots);
             return;
@@ -663,15 +619,7 @@ impl<'a> ServeState<'a> {
             if !self.peers[pi].handshaked() {
                 continue;
             }
-            let ok = {
-                let Self {
-                    ref mut peers,
-                    ref telemetry,
-                    ..
-                } = *self;
-                peers[pi].enqueue(telemetry, frame)
-            };
-            if !ok {
+            if !self.peers[pi].enqueue(&self.telemetry, frame) {
                 self.disconnect(pi, true);
             }
         }
@@ -689,26 +637,16 @@ impl<'a> ServeState<'a> {
         }
     }
 
-    /// Announces a task to all peers (and the replay log).
-    pub(crate) fn begin_task(&mut self, task: usize, global: &[f32]) {
-        let frame = WireMessage::TaskBegin(TaskBegin {
-            task: task as u32,
-            global: global.to_vec(),
-        })
-        .encode();
-        self.broadcast(&frame, true);
-    }
-
     /// Opens a round: drains boundary joiners, splits the planned sessions
     /// round-robin over the eligible peers (in join order), and queues each
     /// its `RoundStart`. With no eligible peer the slots are parked as
     /// orphans; [`ServeState::collect`] then waits up to the join-grace
     /// window for a (re)joiner before declaring them late.
-    pub(crate) fn begin_round(
+    fn begin_round(
         &mut self,
         task: usize,
         round: usize,
-        assignments: &[SessionAssignment],
+        assignments: Vec<SessionAssignment>,
         model_frame: Vec<u8>,
         extra_frame: Option<Vec<u8>>,
     ) {
@@ -724,11 +662,10 @@ impl<'a> ServeState<'a> {
         }
         self.round_task = task as u32;
         self.round_round = round as u32;
-        self.expected_cids = assignments.iter().map(|a| a.client_id).collect();
-        self.assignments = assignments.to_vec();
+        self.slots = (0..assignments.len()).map(|_| None).collect();
+        self.assignments = assignments;
         self.model_frame = model_frame;
         self.extra_frame = extra_frame;
-        self.slots = (0..assignments.len()).map(|_| None).collect();
         self.collected = 0;
         self.orphan_slots.clear();
         self.round_open = true;
@@ -746,12 +683,13 @@ impl<'a> ServeState<'a> {
                 }
             })
             .collect();
+        let planned = self.assignments.len();
         if eligible.is_empty() {
-            self.orphan_slots = (0..assignments.len()).collect();
+            self.orphan_slots = (0..planned).collect();
             return;
         }
         let mut per_peer: Vec<Vec<usize>> = vec![Vec::new(); eligible.len()];
-        for slot in 0..assignments.len() {
+        for slot in 0..planned {
             per_peer[slot % eligible.len()].push(slot);
         }
         for (k, slots) in per_peer.into_iter().enumerate() {
@@ -763,10 +701,10 @@ impl<'a> ServeState<'a> {
     /// Pumps the reactor until every slot's result is in or `deadline`
     /// passes, then closes the round. Returns the slot-ordered results;
     /// `None` slots missed the deadline.
-    pub(crate) fn collect(&mut self, deadline: Instant) -> Vec<Option<RemoteSession>> {
+    fn collect(&mut self, deadline: Instant) -> Vec<Option<CollectedSession>> {
         let reactor_t0 = self.telemetry.now_ns();
         let mut no_peer_grace: Option<Instant> = None;
-        while self.collected < self.expected_cids.len() {
+        while self.collected < self.assignments.len() {
             let now = Instant::now();
             if now >= deadline {
                 break;
@@ -799,10 +737,46 @@ impl<'a> ServeState<'a> {
         self.telemetry.timeline_span(0, "reactor", reactor_t0, dur);
         std::mem::take(&mut self.slots)
     }
+}
+
+impl RoundTransport for ServeState<'_> {
+    /// Announces a task to all peers (and the replay log).
+    fn begin_task(&mut self, task: usize, global: &[f32]) {
+        let frame = WireMessage::TaskBegin(TaskBegin {
+            task: task as u32,
+            global: global.to_vec(),
+        })
+        .encode();
+        self.broadcast(&frame, true);
+    }
+
+    /// Assigns the round's sessions to the connected peers (each gets a
+    /// `RoundStart` nesting the encoded broadcast frames), then pumps the
+    /// reactor until every result is in or the round deadline passes.
+    fn round(&mut self, _strategy: &dyn FdilStrategy, input: &RoundInput<'_>) -> RoundCollected {
+        let assignments = input
+            .sessions
+            .iter()
+            .map(|s| SessionAssignment {
+                client_id: s.client_id as u64,
+                group: group_code(s.group),
+                seed: s.seed,
+            })
+            .collect();
+        let model = input.model.encode();
+        let extra = input.extra.map(WireMessage::encode);
+        self.begin_round(input.task, input.round, assignments, model, extra);
+        let deadline = Instant::now() + Duration::from_millis(self.net.round_deadline_ms);
+        RoundCollected {
+            sessions: self.collect(deadline),
+            pool: None,
+            scratch: ArenaStats::default(),
+        }
+    }
 
     /// Closes a round: syncs every peer (and the replay log) with the new
     /// global model and the full ordered merge sequence.
-    pub(crate) fn finish_round(
+    fn finish_round(
         &mut self,
         task: usize,
         round: usize,
@@ -823,7 +797,7 @@ impl<'a> ServeState<'a> {
     }
 
     /// Announces a task boundary to all peers (and the replay log).
-    pub(crate) fn end_task(&mut self, task: usize, global: &[f32]) {
+    fn end_task(&mut self, task: usize, global: &[f32]) {
         let frame = WireMessage::TaskEnd(TaskEnd {
             task: task as u32,
             global: global.to_vec(),
@@ -834,7 +808,7 @@ impl<'a> ServeState<'a> {
 
     /// Ends the run: tells every peer the run completed, drains the
     /// outbound queues (bounded), and closes every link.
-    pub(crate) fn finish_run(&mut self) {
+    fn finish_run(&mut self) {
         let frame = WireMessage::RunEnd(RunEnd {
             reason: RunEnd::COMPLETE,
         })
@@ -1088,17 +1062,7 @@ impl<'a> ClientSession<'a> {
             None => None,
         };
         let mut results: Vec<Vec<u8>> = Vec::with_capacity(rs.sessions.len());
-        // Compressed uplinks are used only when the server negotiated a spec
-        // and either the spec is lossy/active or the strategy restricts the
-        // exchanged coordinates during this task (e.g. prompt-only RefFiL,
-        // whose mask is `None` for the warm-up task 0).
         let mask = self.strategy.exchange_mask(u64::from(rs.task));
-        let spec = self
-            .opts
-            .compression
-            .unwrap_or_else(CompressionSpec::identity);
-        let use_compressed =
-            self.opts.compression.is_some() && (spec.is_active() || mask.is_some());
         {
             let ctx = self
                 .strategy
@@ -1124,26 +1088,16 @@ impl<'a> ClientSession<'a> {
                 let start = Instant::now();
                 let out = ctx.train_client(&setting, self.telemetry);
                 let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                let update = if use_compressed {
-                    WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
-                        &spec,
-                        mask.as_deref(),
-                        a.client_id,
-                        out.update.weight,
-                        &out.update.flat,
-                        &model.model,
-                        model.task,
-                        model.round,
-                    ))
-                    .encode()
-                } else {
-                    WireMessage::ClientModelUpdate(WireClientModelUpdate {
-                        client_id: a.client_id,
-                        weight: out.update.weight,
-                        model: out.update.flat,
-                    })
-                    .encode()
-                };
+                let update = build_uplink(
+                    self.opts.compression,
+                    mask.as_deref(),
+                    a.client_id,
+                    out.update,
+                    &model.model,
+                    model.task,
+                    model.round,
+                )
+                .encode();
                 let merge = out.merge.map(|m| m.encode());
                 results.push(
                     WireMessage::SessionResult(SessionResult {
@@ -1389,25 +1343,18 @@ pub fn run_clients_pumped(
                 match link.try_recv_frame() {
                     Ok(Some(frame)) => {
                         last_rx[i] = now;
-                        match sessions[i].handle(&frame, &**link) {
-                            Ok(Step::Continue) => {}
-                            Ok(Step::Done) => {
-                                done[i] = Some(Ok(sessions[i].report.clone()));
-                                link.close();
-                                break;
-                            }
+                        let session = &mut sessions[i];
+                        done[i] = Some(match session.handle(&frame, &**link) {
+                            Ok(Step::Continue) => continue,
+                            Ok(Step::Done) => Ok(session.report.clone()),
                             Ok(Step::DropLink) => {
-                                link.close();
-                                sessions[i].report.reason = RunEnd::ABORT;
-                                done[i] = Some(Ok(sessions[i].report.clone()));
-                                break;
+                                session.report.reason = RunEnd::ABORT;
+                                Ok(session.report.clone())
                             }
-                            Err(e) => {
-                                done[i] = Some(Err(e));
-                                link.close();
-                                break;
-                            }
-                        }
+                            Err(e) => Err(e),
+                        });
+                        link.close();
+                        break;
                     }
                     Ok(None) => break,
                     Err(e) => {
@@ -1440,7 +1387,7 @@ mod tests {
 
     #[test]
     fn remote_session_decodes_nested_frames() {
-        let update = WireMessage::ClientModelUpdate(WireClientModelUpdate {
+        let update = WireMessage::ClientModelUpdate(refil_wire::ClientModelUpdate {
             client_id: 4,
             weight: 2.5,
             model: vec![1.0, -2.0],
@@ -1455,7 +1402,7 @@ mod tests {
             merge: None,
         };
         let r = remote_session(sr).expect("decodes");
-        let RemoteUpdate::Plain(update_msg) = r.update else {
+        let WireMessage::ClientModelUpdate(update_msg) = r.update else {
             panic!("expected a plain update");
         };
         assert_eq!(update_msg.client_id, 4);
@@ -1475,7 +1422,8 @@ mod tests {
         };
         let base = vec![0.5f32, -1.0, 2.0, 0.0];
         let flat = vec![0.75f32, -1.0, 1.0, 0.25];
-        let compressed = CompressedModelUpdate::compress(&spec, None, 7, 1.5, &flat, &base, 2, 3);
+        let compressed =
+            refil_wire::CompressedModelUpdate::compress(&spec, None, 7, 1.5, &flat, &base, 2, 3);
         let frame = WireMessage::CompressedModelUpdate(compressed).encode();
         let sr = SessionResult {
             task: 2,
@@ -1486,7 +1434,7 @@ mod tests {
             merge: None,
         };
         let r = remote_session(sr).expect("decodes");
-        let RemoteUpdate::Compressed(c) = r.update else {
+        let WireMessage::CompressedModelUpdate(c) = r.update else {
             panic!("expected a compressed update");
         };
         assert_eq!(c.client_id, 7);

@@ -20,27 +20,31 @@
 //!
 //! # Wire layer
 //!
-//! Every client↔server exchange travels as a typed [`WireMessage`] encoded
-//! through the `refil-wire` codec and moved over a peer-addressed
-//! [`Link`]: the global model goes down as a `ModelBroadcast` frame (plus
-//! any [`FdilStrategy::round_broadcast`] message, e.g. RefFiL's
-//! `GlobalPromptBroadcast`), and each client's trained parameters come back
-//! as a `ClientModelUpdate` frame alongside an optional strategy merge
-//! message (`PromptUpload`, `RehearsalMemory`, ...). [`TrafficStats`] counts
-//! the actual framed byte lengths. The driver performs all link and codec
-//! work in client-id order on its own thread, so the wire layer does not
-//! perturb the concurrency model above; because the codec is bit-exact for
-//! `f32`, a loopback-transported run is byte-identical to the
-//! codec-bypassing direct path ([`FdilRunner::direct`]), which exists
-//! precisely to enforce that equivalence in tests.
+//! Every client↔server exchange is a typed [`WireMessage`]: the global model
+//! goes down as a `ModelBroadcast` (plus any [`FdilStrategy::round_broadcast`]
+//! message, e.g. RefFiL's `GlobalPromptBroadcast`), and each client's trained
+//! parameters come back as a `ClientModelUpdate` — or a
+//! `CompressedModelUpdate` when uplink compression is on — alongside an
+//! optional strategy merge message (`PromptUpload`, `RehearsalMemory`, ...).
+//! [`TrafficStats`] counts every frame's exact encoded length.
 //!
-//! [`FdilRunner::serve`] runs the same loop over real sockets: planned
-//! sessions are assigned to connected peer processes, trained remotely, and
-//! collected under a per-round deadline — see the `net` module. Because
-//! remote results ride inside control frames as the *same* nested payload
-//! frames, the per-client traffic accounting stays byte-identical to the
-//! loopback run.
+//! # One round engine
+//!
+//! The driver runs one loop — plan → broadcast → collect → reconstruct →
+//! aggregate → merge — over a crate-private `RoundTransport` seam with two
+//! implementations. [`FdilRunner::run`] trains the planned sessions in
+//! process on the worker pool: typed messages move in memory and are sized
+//! with `WireMessage::encoded_len`, which always equals the encoded frame's
+//! length. [`FdilRunner::serve`] assigns the same sessions to connected peer
+//! processes and collects their results under a per-round deadline (see the
+//! `net` module); remote results ride inside control frames as the same
+//! nested payload frames. Both transports hand the driver the same collected
+//! session shape, compressed updates are rebuilt against one broadcast
+//! history, and each accepted session is booked into every byte view by one
+//! call — so an undisturbed served run accounts byte-identical traffic to the
+//! in-process run.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -56,17 +60,19 @@ use refil_telemetry::{
 
 use crate::pool::WorkerPool;
 use refil_wire::{
-    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, Link, Listener, Loopback,
-    ModelBroadcast, SessionAssignment, WireMessage,
+    ClientModelUpdate as WireClientModelUpdate, CompressedModelUpdate, CompressionSpec, Listener,
+    MessageKind, ModelBroadcast, WireMessage,
 };
 
 use crate::aggregate::{fedavg, WeightedUpdate};
 use crate::config::RunConfig;
 use crate::increment::{build_schedule, select_clients, ClientGroup, TaskSchedule};
-use crate::net::{group_code, RemoteSession, RemoteUpdate, ServeState};
+use crate::net::ServeState;
 use crate::traffic::TrafficStats;
 
-/// Everything a strategy needs to run one local training session.
+/// Everything a strategy needs to run one local training session. The
+/// driver resolves one per planned session before any worker starts, so
+/// execution order cannot affect the result.
 #[derive(Debug)]
 pub struct TrainSetting<'a> {
     /// Global client id.
@@ -240,7 +246,7 @@ pub trait FdilStrategy {
     /// [`FdilStrategy::round_ctx`] (fed its own
     /// [`FdilStrategy::round_broadcast`]) and immediately applies its merge
     /// message, returning the update. Equivalent to what the driver does for
-    /// a single client on the direct path.
+    /// a single client on the in-process transport.
     fn train_once(&mut self, setting: &TrainSetting<'_>, global: &[f32]) -> ClientUpdate
     where
         Self: Sized,
@@ -360,16 +366,189 @@ impl RunResult {
     }
 }
 
-/// Session outputs paired with their timing stats, indexed by session slot
-/// (`None` until the slot's worker completes it).
-type SessionSlots = Vec<Option<(SessionOutput, SessionStat)>>;
+/// One collected session, in the shape both transports hand the driver: the
+/// uplink model update (`ClientModelUpdate` or `CompressedModelUpdate`) with
+/// its encoded length, the optional merge message with its encoded length,
+/// and the session's timing stat.
+pub(crate) struct CollectedSession {
+    pub(crate) update: WireMessage,
+    pub(crate) update_bytes: u64,
+    pub(crate) merge: Option<(WireMessage, u64)>,
+    pub(crate) stat: SessionStat,
+}
 
-/// One round's session results, indexed by planned-session slot: trained
-/// locally on the worker pool, or collected from remote peers (`None` =
-/// the result missed the round deadline).
-enum RoundOutputs {
-    Local(SessionSlots),
-    Remote(Vec<Option<RemoteSession>>),
+/// Everything a transport needs to run one round.
+pub(crate) struct RoundInput<'a> {
+    pub(crate) task: usize,
+    pub(crate) round: usize,
+    /// The global parameters the round broadcasts (the base that compressed
+    /// uplinks are encoded against).
+    pub(crate) global: &'a [f32],
+    /// Planned sessions, ascending by client id (slot order).
+    pub(crate) sessions: &'a [TrainSetting<'a>],
+    /// The round's `ModelBroadcast` and the strategy's extra broadcast.
+    pub(crate) model: &'a WireMessage,
+    pub(crate) extra: Option<&'a WireMessage>,
+    /// The run's uplink compression offer and this task's exchange mask
+    /// (the inputs of [`build_uplink`]).
+    pub(crate) offer: Option<CompressionSpec>,
+    pub(crate) mask: Option<&'a [u32]>,
+}
+
+/// One round's sessions, slot-indexed (`None` = the result never arrived),
+/// with the worker-pool and scratch accounting of the train phase.
+pub(crate) struct RoundCollected {
+    pub(crate) sessions: Vec<Option<CollectedSession>>,
+    pub(crate) pool: Option<PoolStats>,
+    pub(crate) scratch: ArenaStats,
+}
+
+/// Where the driver's planned sessions run: in process on the worker pool
+/// ([`InProcess`]) or on connected peer processes (`net::ServeState`). The
+/// lifecycle hooks exist for transports with remote replicas to keep in
+/// sync; they default to nothing.
+pub(crate) trait RoundTransport {
+    /// Task `task` starts, after the strategy's `on_task_start`.
+    fn begin_task(&mut self, _task: usize, _global: &[f32]) {}
+
+    /// Runs the round's planned sessions against its broadcast and returns
+    /// their results, slot-indexed.
+    fn round(&mut self, strategy: &dyn FdilStrategy, input: &RoundInput<'_>) -> RoundCollected;
+
+    /// The round closed with the new global model and the ordered merges.
+    fn finish_round(
+        &mut self,
+        _task: usize,
+        _round: usize,
+        _global: &[f32],
+        _merges: &[(usize, WireMessage)],
+    ) {
+    }
+
+    /// Task `task` ended, after the strategy's `on_task_end`.
+    fn end_task(&mut self, _task: usize, _global: &[f32]) {}
+
+    /// The run is over.
+    fn finish_run(&mut self) {}
+}
+
+/// The spec the run offers for uplink compression: the configured spec
+/// when it is active or when the strategy restricts the exchanged
+/// coordinates in some task, otherwise `None` (dense updates throughout).
+/// The served path hands the same offer to codec-aware peers.
+fn uplink_offer(
+    cfg: &RunConfig,
+    strategy: &dyn FdilStrategy,
+    tasks: usize,
+) -> Option<CompressionSpec> {
+    let spec = cfg.wire.spec();
+    let masks_any_task = (0..tasks).any(|t| strategy.exchange_mask(t as u64).is_some());
+    (spec.is_active() || masks_any_task).then_some(spec)
+}
+
+/// Builds one session's uplink frame — the one builder behind the
+/// in-process transport and every client replica. The update is compressed
+/// against `base` (the broadcast tagged `(task, round)`) when a spec was
+/// offered and this task either uses it lossily or restricts the exchange
+/// through `mask`; otherwise it goes up as a dense `ClientModelUpdate`.
+pub(crate) fn build_uplink(
+    offer: Option<CompressionSpec>,
+    mask: Option<&[u32]>,
+    client_id: u64,
+    update: ClientUpdate,
+    base: &[f32],
+    task: u32,
+    round: u32,
+) -> WireMessage {
+    match offer.filter(|spec| spec.is_active() || mask.is_some()) {
+        Some(spec) => WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
+            &spec,
+            mask,
+            client_id,
+            update.weight,
+            &update.flat,
+            base,
+            task,
+            round,
+        )),
+        None => WireMessage::ClientModelUpdate(WireClientModelUpdate {
+            client_id,
+            weight: update.weight,
+            model: update.flat,
+        }),
+    }
+}
+
+/// Broadcast models remembered for rebuilding compressed updates, tagged
+/// `(task, round)`, newest last.
+type BroadcastHistory = VecDeque<((u32, u32), Vec<f32>)>;
+
+/// How many past broadcasts a compressed update may name as its base.
+const BROADCAST_HISTORY: usize = 8;
+
+/// Turns a collected uplink into a FedAvg contribution plus its raw size
+/// (what a dense `ClientModelUpdate` would have cost; `bytes` itself when
+/// the update is dense). A compressed update is rebuilt against the
+/// broadcast it names. `None` when that broadcast is no longer in the
+/// history, the update does not fit it, or the frame is no model update.
+fn reconstruct(
+    update: WireMessage,
+    bytes: u64,
+    history: &BroadcastHistory,
+) -> Option<(WeightedUpdate, u64)> {
+    let (flat, weight, raw) = match update {
+        WireMessage::ClientModelUpdate(u) => (u.model, u.weight, bytes),
+        WireMessage::CompressedModelUpdate(c) => {
+            let (_, base) = history
+                .iter()
+                .rev()
+                .find(|(tag, _)| *tag == (c.base_task, c.base_round))?;
+            let raw = c.uncompressed_frame_len() as u64;
+            (c.reconstruct(base).ok()?, c.weight, raw)
+        }
+        _ => return None,
+    };
+    Some((WeightedUpdate { flat, weight }, raw))
+}
+
+/// One frame in the byte ledger: its kind and encoded length.
+type FrameBytes = (MessageKind, u64);
+
+/// Everything one accepted session moved: the single record that
+/// [`SessionLedger::book`] derives every byte view from.
+struct SessionLedger<'a> {
+    /// The round's broadcast frames, received by every session.
+    down: &'a [FrameBytes],
+    update: FrameBytes,
+    /// What `update` would have cost as a dense `ClientModelUpdate`.
+    update_raw: u64,
+    merge: Option<FrameBytes>,
+    stat: SessionStat,
+}
+
+impl SessionLedger<'_> {
+    /// Books the session into [`TrafficStats`], the round report's per-kind
+    /// `wire_bytes`, its `uplink_raw/encoded_bytes` and session list, and
+    /// the `traffic.*`, `wire.<kind>_bytes` and `clients.trained` counters.
+    /// Every view reads the same record, so they partition the same bytes
+    /// by construction.
+    fn book(self, traffic: &mut TrafficStats, report: &mut RoundReport, telemetry: &Telemetry) {
+        let up = [Some(self.update), self.merge];
+        let up_bytes: u64 = up.iter().flatten().map(|(_, bytes)| bytes).sum();
+        let down_bytes: u64 = self.down.iter().map(|(_, bytes)| bytes).sum();
+        traffic.record_client(up_bytes, down_bytes);
+        telemetry.counter("traffic.up_bytes", up_bytes);
+        telemetry.counter("traffic.down_bytes", down_bytes);
+        for &(kind, bytes) in up.iter().flatten().chain(self.down) {
+            telemetry.counter(kind.bytes_counter(), bytes);
+            bump_wire(&mut report.wire_bytes, kind.name(), bytes);
+        }
+        report.uplink_raw_bytes += self.update_raw;
+        report.uplink_encoded_bytes += self.update.1;
+        report.sessions.push(self.stat);
+        report.clients_trained += 1;
+        telemetry.counter("clients.trained", 1);
+    }
 }
 
 /// Converts the nn crate's thread-local scratch accounting into the
@@ -501,17 +680,6 @@ pub(crate) fn carry_forward(holdings: &mut [Holdings], schedule: &TaskSchedule) 
     }
 }
 
-/// One client session planned for dispatch: all inputs are resolved before
-/// any worker starts, so execution order cannot affect the result.
-struct PlannedSession<'a> {
-    cid: usize,
-    task: usize,
-    round: usize,
-    group: ClientGroup,
-    samples: &'a [Sample],
-    seed: u64,
-}
-
 /// Runs one planned session, recording the per-client span and throughput
 /// observations, and returns the output plus the session's wall nanoseconds.
 ///
@@ -519,28 +687,17 @@ struct PlannedSession<'a> {
 /// worker, not per session, so the hot path pays no parent-path rebuild.
 fn run_session(
     ctx: &dyn RoundContext,
-    session: &PlannedSession<'_>,
-    cfg: &RunConfig,
+    setting: &TrainSetting<'_>,
     t: &Telemetry,
 ) -> (SessionOutput, u64) {
-    let _client_span = t.span(&format!("client:{}", session.cid));
-    let setting = TrainSetting {
-        client_id: session.cid,
-        task: session.task,
-        round: session.round,
-        group: session.group,
-        samples: session.samples,
-        local_epochs: cfg.local_epochs,
-        batch_size: cfg.batch_size,
-        seed: session.seed,
-    };
+    let _client_span = t.span(&format!("client:{}", setting.client_id));
     let session_start = std::time::Instant::now();
-    let out = ctx.train_client(&setting, t);
+    let out = ctx.train_client(setting, t);
     let elapsed = session_start.elapsed();
     let secs = elapsed.as_secs_f64();
     t.observe("client.duration_s", secs);
     if secs > 0.0 {
-        let processed = (session.samples.len() * cfg.local_epochs.max(1)) as f64;
+        let processed = (setting.samples.len() * setting.local_epochs.max(1)) as f64;
         t.observe("client.samples_per_sec", processed / secs);
     }
     (out, u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX))
@@ -588,19 +745,16 @@ fn threads_from_env() -> usize {
 ///
 /// Client sessions within a round execute on `threads` scoped workers; the
 /// result is byte-for-byte identical at any thread count (see the module
-/// docs for why). By default every exchange is encoded through the
-/// `refil-wire` codec and moved over an in-memory [`Loopback`] link pair;
-/// [`FdilRunner::direct`] bypasses the codec (identical results, same
-/// measured traffic via `WireMessage::encoded_len`),
-/// [`FdilRunner::run_with_links`] plugs in custom links, and
-/// [`FdilRunner::serve`] drives the same protocol over real sockets.
+/// docs for why). [`FdilRunner::run`] trains every session in process and
+/// moves the typed messages in memory, accounting their exact encoded frame
+/// sizes; [`FdilRunner::serve`] drives the same round engine over real
+/// sockets.
 #[derive(Debug)]
 pub struct FdilRunner {
     cfg: RunConfig,
     telemetry: Telemetry,
     threads: usize,
     clamp: bool,
-    direct: bool,
     /// Lazily-created persistent worker pool, sized to
     /// [`FdilRunner::effective_threads`] on the first dispatch that wants
     /// more than one worker and reused for every round and eval sweep after.
@@ -617,7 +771,6 @@ impl Clone for FdilRunner {
             telemetry: self.telemetry.clone(),
             threads: self.threads,
             clamp: self.clamp,
-            direct: self.direct,
             pool: OnceLock::new(),
         }
     }
@@ -638,7 +791,6 @@ impl FdilRunner {
             telemetry: Telemetry::disabled(),
             threads,
             clamp: true,
-            direct: false,
             pool: OnceLock::new(),
         }
     }
@@ -704,22 +856,8 @@ impl FdilRunner {
             .get_or_init(|| Arc::new(WorkerPool::new(self.effective_threads())))
     }
 
-    /// Bypasses the wire codec: typed messages move in memory without being
-    /// encoded, while [`TrafficStats`] still reports the identical
-    /// encoded-frame sizes via `WireMessage::encoded_len`. Because the codec
-    /// is bit-exact, results are byte-identical either way — this path exists
-    /// to *prove* that (the wire-vs-direct equivalence tests) and to skip
-    /// codec overhead in tight experiment sweeps.
-    #[must_use]
-    pub fn direct(mut self, direct: bool) -> Self {
-        self.direct = direct;
-        self
-    }
-
-    /// Executes the full FDIL protocol for `strategy` on `dataset`.
-    ///
-    /// Unless [`FdilRunner::direct`] was set, every exchange is encoded and
-    /// moved through a fresh in-memory [`Loopback`] pair (downlink + uplink).
+    /// Executes the full FDIL protocol for `strategy` on `dataset`, training
+    /// every session in process.
     ///
     /// The span hierarchy is `run > task:<t> > round:<r> > client:<c>`, with
     /// sibling `fedavg` and `evaluate_domain` spans; client spans are emitted
@@ -728,9 +866,9 @@ impl FdilRunner {
     /// [`TrafficStats::record_client`] exactly, so their final totals in the
     /// trace equal the run's [`TrafficStats`]; sibling `wire.<kind>_bytes`
     /// counters break the same bytes down per message kind. Neither
-    /// telemetry, the thread count, nor the codec path touches the run's RNG
-    /// streams: results are identical whichever sink (or none) is installed,
-    /// however many workers run, and whether frames are encoded or not.
+    /// telemetry nor the thread count touches the run's RNG streams: results
+    /// are identical whichever sink (or none) is installed and however many
+    /// workers run.
     ///
     /// # Panics
     ///
@@ -739,37 +877,8 @@ impl FdilRunner {
     /// [`crate::ConfigError`]), if the dataset has no domains, or if a
     /// domain has no test data.
     pub fn run(&self, dataset: &FdilDataset, strategy: &mut dyn FdilStrategy) -> RunResult {
-        if self.direct {
-            self.run_inner(dataset, strategy, None, None)
-        } else {
-            let downlink = Loopback::new();
-            let uplink = Loopback::new();
-            self.run_inner(dataset, strategy, Some((&downlink, &uplink)), None)
-        }
-    }
-
-    /// Like [`FdilRunner::run`], but moves every frame over caller-supplied
-    /// links (`downlink` server→client, `uplink` client→server) instead of a
-    /// private loopback pair — the hook for delayed, faulty, or compressed
-    /// in-process links.
-    ///
-    /// Both links must be *echo* links in the [`Loopback`] sense: the driver
-    /// plays both ends, so every frame it sends on a link must come back out
-    /// of that same link's [`Link::recv_deadline`] (possibly transformed).
-    /// For real peer-to-peer sockets use [`FdilRunner::serve`] instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`FdilRunner::run`], and additionally if a link errors,
-    /// delivers no frame within 60 s, or delivers one that fails to decode.
-    pub fn run_with_links(
-        &self,
-        dataset: &FdilDataset,
-        strategy: &mut dyn FdilStrategy,
-        downlink: &dyn Link,
-        uplink: &dyn Link,
-    ) -> RunResult {
-        self.run_inner(dataset, strategy, Some((downlink, uplink)), None)
+        let offer = uplink_offer(&self.cfg, strategy, dataset.num_domains());
+        self.run_inner(dataset, strategy, &mut InProcess { runner: self }, offer)
     }
 
     /// Runs the full FDIL protocol as a long-lived federation server: client
@@ -802,30 +911,21 @@ impl FdilRunner {
         listener: &dyn Listener,
         spec: &str,
     ) -> RunResult {
-        // The serve path compresses when the run config asks for it or the
-        // strategy restricts the exchanged coordinates during any task; the
-        // negotiated spec goes out in every codec-aware peer's `Welcome`.
-        let wire_spec = self.cfg.wire.spec();
-        let masks_any_task =
-            (0..dataset.num_domains()).any(|t| strategy.exchange_mask(t as u64).is_some());
-        let compression = (wire_spec.is_active() || masks_any_task).then_some(wire_spec);
-        let mut state = ServeState::new(
-            listener,
-            spec,
-            self.cfg.net,
-            compression,
-            self.telemetry.clone(),
-        );
+        let offer = uplink_offer(&self.cfg, strategy, dataset.num_domains());
+        let mut state =
+            ServeState::new(listener, spec, self.cfg.net, offer, self.telemetry.clone());
         state.wait_for_peers();
-        self.run_inner(dataset, strategy, None, Some(&mut state))
+        self.run_inner(dataset, strategy, &mut state, offer)
     }
 
+    /// The round engine: plan → broadcast → collect → reconstruct →
+    /// aggregate → merge, with `transport` running the sessions.
     fn run_inner(
         &self,
         dataset: &FdilDataset,
         strategy: &mut dyn FdilStrategy,
-        wire: Option<(&dyn Link, &dyn Link)>,
-        mut serve: Option<&mut ServeState<'_>>,
+        transport: &mut dyn RoundTransport,
+        offer: Option<CompressionSpec>,
     ) -> RunResult {
         let cfg = &self.cfg;
         let telemetry = &self.telemetry;
@@ -849,22 +949,7 @@ impl FdilRunner {
         ));
 
         let mut global = strategy.init_global();
-        let downlink = wire.map(|(down, _)| down);
-        let uplink = wire.map(|(_, up)| up);
-        // Uplink compression: active when the config asks for delta/quant/
-        // top-k or the strategy exchanges only a subset of coordinates in
-        // some task. The server reconstructs compressed updates against its
-        // own broadcast history, keyed by the (task, round) tag clients echo
-        // back. The mask itself is refreshed per task (it may be `None` for
-        // a warm-up task and restrictive afterwards); a round sends
-        // compressed frames only when the spec is lossy or the current
-        // task's mask restricts the exchange — the exact condition remote
-        // clients apply, keeping loopback and networked runs byte-identical.
-        let wire_spec = cfg.wire.spec();
-        let masks_any_task = (0..num_tasks).any(|t| strategy.exchange_mask(t as u64).is_some());
-        let round_compression = (wire_spec.is_active() || masks_any_task).then_some(wire_spec);
-        let mut broadcast_history: std::collections::VecDeque<((u32, u32), Vec<f32>)> =
-            std::collections::VecDeque::new();
+        let mut broadcast_history = BroadcastHistory::new();
         let mut holdings: Vec<Holdings> = Vec::new();
         let mut traffic = TrafficStats::default();
         let mut domain_acc: Vec<Vec<f32>> = Vec::with_capacity(num_tasks);
@@ -875,15 +960,13 @@ impl FdilRunner {
             let _task_span = telemetry.span(&format!("task:{task}"));
             traffic.start_task(task);
             strategy.on_task_start(task, &global);
-            let exchange_mask = strategy.exchange_mask(task as u64);
-            let task_compression =
-                round_compression.filter(|s| s.is_active() || exchange_mask.is_some());
+            // The exchange mask may change per task (e.g. `None` for a
+            // warm-up task and restrictive afterwards).
+            let mask = strategy.exchange_mask(task as u64);
 
             // Distribute the new domain's training data among recipients.
             distribute_task_data(&mut holdings, schedule, dataset, cfg, task);
-            if let Some(srv) = serve.as_deref_mut() {
-                srv.begin_task(task, &global);
-            }
+            transport.begin_task(task, &global);
 
             let rounds = cfg.increment.rounds_per_task;
             group_timeline.push([
@@ -908,7 +991,7 @@ impl FdilRunner {
                 // (only when dropout is enabled, and before the empty-sample
                 // check). The RNG stream is thus independent of thread count.
                 let selected = select_clients(schedule, cfg.increment.select_per_round, &mut rng);
-                let mut sessions: Vec<PlannedSession<'_>> = Vec::with_capacity(selected.len());
+                let mut sessions: Vec<TrainSetting<'_>> = Vec::with_capacity(selected.len());
                 for &cid in &selected {
                     if cfg.dropout_prob > 0.0 && rng.gen::<f32>() < cfg.dropout_prob {
                         telemetry.counter("clients.dropped", 1);
@@ -921,21 +1004,22 @@ impl FdilRunner {
                     if samples.is_empty() {
                         continue;
                     }
-                    sessions.push(PlannedSession {
-                        cid,
+                    sessions.push(TrainSetting {
+                        client_id: cid,
                         task,
                         round,
                         group,
                         samples,
+                        local_epochs: cfg.local_epochs,
+                        batch_size: cfg.batch_size,
                         seed: session_seed(cfg.seed, task, round, cid),
                     });
                 }
 
                 // Sampled participation: keep a seed-deterministic subset of
-                // the planned sessions. This runs on the shared path (before
-                // the serve/local fork) with its own RNG stream, so enabling
-                // it never perturbs selection or dropout draws, and loopback
-                // and networked runs sample identically.
+                // the planned sessions. It has its own RNG stream, so
+                // enabling it never perturbs selection or dropout draws, and
+                // every transport samples identically.
                 if let Some(keep) = cfg.net.sample_size(sessions.len()) {
                     let removed = (sessions.len() - keep) as u64;
                     let mut sampler = StdRng::seed_from_u64(sample_seed(cfg.seed, task, round));
@@ -960,318 +1044,94 @@ impl FdilRunner {
                     report.clients_sampled_out = removed;
                 }
 
-                // Server → clients: the round's global model (plus any
-                // strategy broadcast) travels as encoded frames through the
-                // downlink, and sessions train on the *decoded* copy. The
-                // direct path moves the same typed messages unencoded while
-                // accounting the identical frame sizes; the serve path nests
-                // the same encoded frames inside each peer's `RoundStart`.
+                // Server → clients: the round's global model plus any
+                // strategy broadcast, sized once for the ledger. With
+                // compression offered, remember what this broadcast said so
+                // updates delta-encoded against it can be rebuilt; a short
+                // history tolerates results tagged with an earlier round.
                 let broadcast_start = std::time::Instant::now();
                 let broadcast_t0 = telemetry.now_ns();
-                let model_msg = WireMessage::ModelBroadcast(ModelBroadcast {
+                let model = WireMessage::ModelBroadcast(ModelBroadcast {
                     task: task as u32,
                     round: round as u32,
                     model: global.clone(),
                 });
-                let extra_msg = strategy.round_broadcast(task, round);
-                let extra_kind = extra_msg.as_ref().map(WireMessage::kind);
-                let (round_model, broadcast, model_bytes, extra_bytes) =
-                    if let Some(srv) = serve.as_deref_mut() {
-                        let model_frame = model_msg.encode();
-                        let model_bytes = model_frame.len() as u64;
-                        let (extra_frame, extra_bytes) = match extra_msg {
-                            Some(msg) => {
-                                let frame = msg.encode();
-                                let bytes = frame.len() as u64;
-                                (Some(frame), bytes)
-                            }
-                            None => (None, 0),
-                        };
-                        let assignments: Vec<SessionAssignment> = sessions
-                            .iter()
-                            .map(|s| SessionAssignment {
-                                client_id: s.cid as u64,
-                                group: group_code(s.group),
-                                seed: s.seed,
-                            })
-                            .collect();
-                        srv.begin_round(task, round, &assignments, model_frame, extra_frame);
-                        (Vec::new(), None, model_bytes, extra_bytes)
-                    } else {
-                        let (model_out, model_bytes) = roundtrip(downlink, model_msg);
-                        let WireMessage::ModelBroadcast(model_out) = model_out else {
-                            panic!("downlink delivered a non-ModelBroadcast frame");
-                        };
-                        let (broadcast, extra_bytes) = match extra_msg {
-                            Some(msg) => {
-                                let (decoded, bytes) = roundtrip(downlink, msg);
-                                (Some(decoded), bytes)
-                            }
-                            None => (None, 0),
-                        };
-                        (model_out.model, broadcast, model_bytes, extra_bytes)
-                    };
-                if round_compression.is_some() {
-                    // Remember what this round's broadcast said, so client
-                    // updates delta-encoded against it can be reconstructed.
-                    // The codec is bit-exact for f32, so the server-side
-                    // `global` equals the decoded broadcast every client
-                    // applied. A short history tolerates results that arrive
-                    // tagged with an earlier round's base.
+                let extra = strategy.round_broadcast(task, round);
+                let down: Vec<FrameBytes> = std::iter::once(&model)
+                    .chain(&extra)
+                    .map(|msg| (msg.kind(), msg.encoded_len() as u64))
+                    .collect();
+                if offer.is_some() {
                     broadcast_history.push_back(((task as u32, round as u32), global.clone()));
-                    while broadcast_history.len() > 8 {
+                    while broadcast_history.len() > BROADCAST_HISTORY {
                         broadcast_history.pop_front();
                     }
                 }
-                let down_bytes = model_bytes + extra_bytes;
                 report.phases.broadcast = elapsed_ns(broadcast_start);
                 telemetry.timeline_span(0, "broadcast", broadcast_t0, report.phases.broadcast);
 
-                // Dispatch sessions against the shared read-only context;
-                // outputs are indexed by session slot so completion order is
-                // irrelevant. `select_clients` returns ids ascending, so slot
-                // order == client-id order.
-                //
-                // Profiling rides along without touching scheduling: each
-                // worker owns a preallocated timeline lane (ticks only, no
-                // allocation per item) and harvests its thread's scratch
-                // stats; lanes merge into per-worker busy/idle/steal
-                // accounting after the join, off the hot path.
-                let round_path = telemetry.current_path();
-                let timeline = telemetry.timeline();
+                // The transport runs the sessions and hands back their
+                // results slot-indexed; `select_clients` returns ids
+                // ascending, so slot order == client-id order.
                 let train_start = std::time::Instant::now();
                 let train_t0 = telemetry.now_ns();
-                let (mut outputs, train_pool, train_scratch): (
-                    RoundOutputs,
-                    Option<PoolStats>,
-                    ArenaStats,
-                ) = if let Some(srv) = serve.as_deref_mut() {
-                    // Remote path: peers train their assigned sessions; the
-                    // driver blocks (without spinning) until every result is
-                    // in or the round deadline passes.
-                    let deadline = std::time::Instant::now()
-                        + std::time::Duration::from_millis(cfg.net.round_deadline_ms);
-                    let slots = srv.collect(deadline);
-                    (RoundOutputs::Remote(slots), None, ArenaStats::default())
-                } else {
-                    let ctx = strategy.round_ctx(task, round, &round_model, broadcast.as_ref());
-                    let workers = self.effective_threads().min(sessions.len());
-                    if workers <= 1 {
-                        let t = telemetry.scoped(&round_path);
-                        let mut lane = timeline.lane(0);
-                        let _ = refil_nn::take_scratch_stats();
-                        let outputs: SessionSlots = sessions
-                            .iter()
-                            .map(|s| {
-                                let start = lane.tick();
-                                let (out, duration_ns) = run_session(&*ctx, s, cfg, &t);
-                                lane.record("client", Some(s.cid as u64), start);
-                                let stat = SessionStat {
-                                    client_id: s.cid as u64,
-                                    track: 1,
-                                    duration_ns,
-                                };
-                                Some((out, stat))
-                            })
-                            .collect();
-                        let scratch = arena_stats(refil_nn::take_scratch_stats());
-                        let wall = timeline.tick().saturating_sub(train_t0);
-                        (
-                            RoundOutputs::Local(outputs),
-                            timeline.merge(&[&lane], wall),
-                            scratch,
-                        )
-                    } else {
-                        let pool = self.pool();
-                        let _dispatch = pool.serialize();
-                        let next = AtomicUsize::new(0);
-                        let slots: Mutex<SessionSlots> =
-                            Mutex::new(sessions.iter().map(|_| None).collect());
-                        let worker_scratch: Mutex<Vec<ArenaStats>> =
-                            Mutex::new(vec![ArenaStats::default(); workers]);
-                        pool.run(workers, &|slot| {
-                            let t = telemetry.scoped(&round_path);
-                            let mut lane = pool.lane(slot);
-                            timeline.rearm(&mut lane, slot);
-                            let track = slot as u32 + 1;
-                            let ctx = &*ctx;
-                            let _ = refil_nn::take_scratch_stats();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(session) = sessions.get(i) else {
-                                    break;
-                                };
-                                let start = lane.tick();
-                                let (out, duration_ns) = run_session(ctx, session, cfg, &t);
-                                lane.record("client", Some(session.cid as u64), start);
-                                let stat = SessionStat {
-                                    client_id: session.cid as u64,
-                                    track,
-                                    duration_ns,
-                                };
-                                slots.lock().expect("session slots poisoned")[i] =
-                                    Some((out, stat));
-                            }
-                            worker_scratch.lock().expect("scratch slots poisoned")[slot] =
-                                arena_stats(refil_nn::take_scratch_stats());
-                        });
-                        let mut scratch = ArenaStats::default();
-                        for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
-                            scratch.merge(&s);
-                        }
-                        let wall = timeline.tick().saturating_sub(train_t0);
-                        let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
-                        let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
-                        let pool_stats = timeline.merge(&lanes, wall);
-                        drop(lanes);
-                        drop(guards);
-                        (
-                            RoundOutputs::Local(
-                                slots.into_inner().expect("session slots poisoned"),
-                            ),
-                            pool_stats,
-                            scratch,
-                        )
-                    }
-                };
+                let collected = transport.round(
+                    &*strategy,
+                    &RoundInput {
+                        task,
+                        round,
+                        global: &global,
+                        sessions: &sessions,
+                        model: &model,
+                        extra: extra.as_ref(),
+                        offer,
+                        mask: mask.as_deref(),
+                    },
+                );
                 report.phases.train = elapsed_ns(train_start);
                 telemetry.timeline_span(0, "train", train_t0, report.phases.train);
-                report.train_pool = train_pool;
-                report.scratch.merge(&train_scratch);
+                report.train_pool = collected.pool;
+                report.scratch.merge(&collected.scratch);
 
-                // Clients → server: each update (and optional merge message)
-                // is encoded, sent up the uplink, decoded, and consumed in
-                // session (= client-id) order, so FedAvg inputs, traffic
-                // accounting, and merges are deterministic.
+                // Clients → server: rebuild and book each session in slot
+                // (= client-id) order, so FedAvg inputs, traffic accounting,
+                // and merges are deterministic.
                 let aggregate_start = std::time::Instant::now();
                 let aggregate_t0 = telemetry.now_ns();
                 let mut updates = Vec::with_capacity(sessions.len());
                 let mut merges: Vec<(usize, WireMessage)> = Vec::new();
-                for (i, session) in sessions.iter().enumerate() {
-                    // Normalize both paths to the same shape: the decoded
-                    // update, its frame bytes, the optional decoded merge
-                    // with its frame bytes, and the session stat. `None`
-                    // means the result never arrived (remote path only).
-                    let collected = match &mut outputs {
-                        RoundOutputs::Local(slots) => {
-                            let (out, stat) = slots[i].take().expect("planned session never ran");
-                            // On the in-process paths the driver plays both
-                            // roles: it builds exactly the uplink frame a
-                            // remote client would (compressed against the
-                            // round's decoded broadcast when compression is
-                            // on), moves it through the uplink, and consumes
-                            // the decoded result below like a remote one.
-                            let update_msg = if let Some(spec) = task_compression {
-                                WireMessage::CompressedModelUpdate(CompressedModelUpdate::compress(
-                                    &spec,
-                                    exchange_mask.as_deref(),
-                                    session.cid as u64,
-                                    out.update.weight,
-                                    &out.update.flat,
-                                    &round_model,
-                                    task as u32,
-                                    round as u32,
-                                ))
-                            } else {
-                                WireMessage::ClientModelUpdate(WireClientModelUpdate {
-                                    client_id: session.cid as u64,
-                                    weight: out.update.weight,
-                                    model: out.update.flat,
-                                })
-                            };
-                            let (update_out, update_bytes) = roundtrip(uplink, update_msg);
-                            let update_out = match update_out {
-                                WireMessage::ClientModelUpdate(u) => RemoteUpdate::Plain(u),
-                                WireMessage::CompressedModelUpdate(c) => {
-                                    RemoteUpdate::Compressed(c)
-                                }
-                                _ => panic!("uplink delivered a non-model-update frame"),
-                            };
-                            let merge = out.merge.map(|msg| roundtrip(uplink, msg));
-                            Some((update_out, update_bytes, merge, stat))
-                        }
-                        RoundOutputs::Remote(slots) => slots[i]
-                            .take()
-                            .map(|r| (r.update, r.update_bytes, r.merge, r.stat)),
-                    };
-                    let Some((update_out, update_bytes, merge, stat)) = collected else {
-                        // Straggler or dead peer: the round proceeds without
-                        // this session and no bytes are accounted for it.
+                for (session, slot) in sessions.iter().zip(collected.sessions) {
+                    // A session that never arrived, or whose compressed
+                    // update cannot be rebuilt, is late: the round proceeds
+                    // without it and no bytes are accounted for it.
+                    let rebuilt = slot.and_then(|c| {
+                        let update = (c.update.kind(), c.update_bytes);
+                        reconstruct(c.update, c.update_bytes, &broadcast_history)
+                            .map(|(weighted, raw)| (weighted, update, raw, c.merge, c.stat))
+                    });
+                    let Some((weighted, update, update_raw, merge, stat)) = rebuilt else {
                         telemetry.counter("clients.late", 1);
                         report.clients_late += 1;
                         continue;
                     };
-                    // The raw column is what the same update would have cost
-                    // as a dense `ClientModelUpdate` frame; encoded is what
-                    // actually moved. Equal unless compression is active.
-                    let (update_kind, raw_bytes) = match &update_out {
-                        RemoteUpdate::Plain(_) => ("client_model_update", update_bytes),
-                        RemoteUpdate::Compressed(c) => {
-                            ("compressed_model_update", c.uncompressed_frame_len() as u64)
-                        }
-                    };
-                    // Reconstruct a compressed update against the broadcast
-                    // it names before any bytes are accounted, so a session
-                    // that cannot be applied counts as late, not trained.
-                    let update = match update_out {
-                        RemoteUpdate::Plain(u) => WeightedUpdate {
-                            flat: u.model,
-                            weight: u.weight,
-                        },
-                        RemoteUpdate::Compressed(c) => {
-                            let flat = broadcast_history
-                                .iter()
-                                .rev()
-                                .find(|(tag, _)| *tag == (c.base_task, c.base_round))
-                                .and_then(|(_, base)| c.reconstruct(base).ok());
-                            let Some(flat) = flat else {
-                                telemetry.counter("clients.late", 1);
-                                report.clients_late += 1;
-                                continue;
-                            };
-                            WeightedUpdate {
-                                flat,
-                                weight: c.weight,
-                            }
-                        }
-                    };
-                    report.sessions.push(stat);
-                    let mut up_bytes = update_bytes;
-                    telemetry.counter(&format!("wire.{update_kind}_bytes"), update_bytes);
-                    bump_wire(&mut report.wire_bytes, update_kind, update_bytes);
-                    report.uplink_raw_bytes += raw_bytes;
-                    report.uplink_encoded_bytes += update_bytes;
-                    if let Some((decoded, bytes)) = merge {
-                        up_bytes += bytes;
-                        let kind = decoded.kind().name();
-                        telemetry.counter(&format!("wire.{kind}_bytes"), bytes);
-                        bump_wire(&mut report.wire_bytes, kind, bytes);
-                        merges.push((session.cid, decoded));
+                    SessionLedger {
+                        down: &down,
+                        update,
+                        update_raw,
+                        merge: merge.as_ref().map(|(msg, bytes)| (msg.kind(), *bytes)),
+                        stat,
                     }
-                    traffic.record_client(up_bytes, down_bytes);
-                    // Mirror record_client exactly so trace totals match traffic.
-                    telemetry.counter("traffic.up_bytes", up_bytes);
-                    telemetry.counter("traffic.down_bytes", down_bytes);
-                    telemetry.counter("wire.model_broadcast_bytes", model_bytes);
-                    bump_wire(&mut report.wire_bytes, "model_broadcast", model_bytes);
-                    if let Some(kind) = extra_kind {
-                        telemetry.counter(&format!("wire.{}_bytes", kind.name()), extra_bytes);
-                        bump_wire(&mut report.wire_bytes, kind.name(), extra_bytes);
+                    .book(&mut traffic, &mut report, telemetry);
+                    if let Some((msg, _)) = merge {
+                        merges.push((session.client_id, msg));
                     }
-                    telemetry.counter("clients.trained", 1);
-                    report.clients_trained += 1;
-                    updates.push(update);
+                    updates.push(weighted);
                 }
                 if !updates.is_empty() {
                     let _fedavg_span = telemetry.span("fedavg");
                     global = fedavg(&updates);
                 }
-                if let Some(srv) = serve.as_deref_mut() {
-                    // Sync every peer (and the replay log) with the new
-                    // global and the full ordered merge sequence, so each
-                    // client replica ingests exactly what the server does.
-                    srv.finish_round(task, round, &global, &merges);
-                }
+                transport.finish_round(task, round, &global, &merges);
                 traffic.record_round();
                 telemetry.counter("rounds", 1);
                 report.phases.aggregate = elapsed_ns(aggregate_start);
@@ -1295,9 +1155,7 @@ impl FdilRunner {
 
             // Clients that saw the new domain carry it forward as their data.
             carry_forward(&mut holdings, schedule);
-            if let Some(srv) = serve.as_deref_mut() {
-                srv.end_task(task, &global);
-            }
+            transport.end_task(task, &global);
 
             // Evaluate on every domain seen so far, fanning (domain, batch)
             // work items across the same worker pool the training rounds use.
@@ -1324,9 +1182,7 @@ impl FdilRunner {
             domain_acc.push(row);
         }
 
-        if let Some(srv) = serve {
-            srv.finish_run();
-        }
+        transport.finish_run();
         telemetry.info(format!(
             "run done: {} rounds, {} client updates, {} bytes total",
             traffic.rounds,
@@ -1348,7 +1204,6 @@ impl FdilRunner {
             rounds: rounds_reports,
         }
     }
-
     /// Evaluates the global model on every domain seen up to `task`
     /// (inclusive), returning one accuracy (%) per domain.
     ///
@@ -1396,7 +1251,6 @@ impl FdilRunner {
         dataset: &FdilDataset,
         task: usize,
     ) -> (Vec<f32>, Option<PoolStats>, ArenaStats) {
-        let telemetry = &self.telemetry;
         let mut items: Vec<EvalItem<'_>> = Vec::with_capacity(task + 1);
         for domain in 0..=task {
             let test = &dataset.domains[domain].test;
@@ -1406,83 +1260,153 @@ impl FdilRunner {
                 chunk: test,
             });
         }
-        let eval_path = telemetry.current_path();
-        let timeline = telemetry.timeline();
-        let sweep_t0 = timeline.tick();
         let ctx = strategy.eval_ctx(global);
-        let workers = self.effective_threads().min(items.len());
-        let (counts, pool_stats, scratch): (Vec<usize>, Option<PoolStats>, ArenaStats) =
-            if workers <= 1 {
-                let t = telemetry.scoped(&eval_path);
-                let mut lane = timeline.lane(0);
-                let _ = refil_nn::take_scratch_stats();
-                let mut evaluator = ctx.evaluator();
-                let mut staging = Vec::new();
-                let counts = items
-                    .iter()
-                    .enumerate()
-                    .map(|(i, item)| {
-                        let start = lane.tick();
-                        let correct = eval_item(&mut *evaluator, item, &mut staging, &t);
-                        lane.record("eval", Some(i as u64), start);
-                        correct
-                    })
-                    .collect();
-                let scratch = arena_stats(refil_nn::take_scratch_stats());
-                let wall = timeline.tick().saturating_sub(sweep_t0);
-                (counts, timeline.merge(&[&lane], wall), scratch)
-            } else {
-                let pool = self.pool();
-                let _dispatch = pool.serialize();
-                let next = AtomicUsize::new(0);
-                let slots: Mutex<Vec<Option<usize>>> = Mutex::new(vec![None; items.len()]);
-                let worker_scratch: Mutex<Vec<ArenaStats>> =
-                    Mutex::new(vec![ArenaStats::default(); workers]);
-                pool.run(workers, &|slot| {
-                    let t = telemetry.scoped(&eval_path);
-                    let mut lane = pool.lane(slot);
-                    timeline.rearm(&mut lane, slot);
-                    let ctx = &*ctx;
-                    let _ = refil_nn::take_scratch_stats();
-                    let mut evaluator = ctx.evaluator();
-                    let mut staging = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(item) = items.get(i) else {
-                            break;
-                        };
-                        let start = lane.tick();
-                        let correct = eval_item(&mut *evaluator, item, &mut staging, &t);
-                        lane.record("eval", Some(i as u64), start);
-                        slots.lock().expect("eval slots poisoned")[i] = Some(correct);
-                    }
-                    worker_scratch.lock().expect("scratch slots poisoned")[slot] =
-                        arena_stats(refil_nn::take_scratch_stats());
-                });
-                let mut scratch = ArenaStats::default();
-                for s in worker_scratch.into_inner().expect("scratch slots poisoned") {
-                    scratch.merge(&s);
-                }
-                let wall = timeline.tick().saturating_sub(sweep_t0);
-                let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
-                let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
-                let pool_stats = timeline.merge(&lanes, wall);
-                drop(lanes);
-                drop(guards);
-                let counts = slots
-                    .into_inner()
-                    .expect("eval slots poisoned")
-                    .into_iter()
-                    .map(|c| c.expect("planned eval item never ran"))
-                    .collect();
-                (counts, pool_stats, scratch)
-            };
+        let (counts, pool_stats, scratch) = self.fan_out(
+            &items,
+            "eval",
+            |item| item.domain as u64,
+            || (ctx.evaluator(), Vec::new()),
+            |(evaluator, staging), item, _track, t| eval_item(&mut **evaluator, item, staging, t),
+        );
         let row = items
             .iter()
             .zip(&counts)
             .map(|(item, &correct)| 100.0 * correct as f32 / item.chunk.len() as f32)
             .collect();
         (row, pool_stats, scratch)
+    }
+
+    /// Fans `items` across the worker pool — inline on this thread when one
+    /// worker suffices — and returns their results in item order, the
+    /// per-worker pool stats (`None` with telemetry disabled), and the
+    /// scratch accounting harvested from the workers.
+    ///
+    /// Each worker builds its state once with `init`, then claims items in
+    /// order and runs `work` on each with its track (worker slot + 1) and a
+    /// telemetry handle scoped under the caller's current span. Results land
+    /// in item-indexed slots, so they are identical at any worker count.
+    /// Profiling rides along without touching scheduling: each worker ticks
+    /// a preallocated timeline lane, recording `label` with the item's `id`,
+    /// and the lanes merge into busy/idle/steal accounting after the join.
+    fn fan_out<I: Sync, S, R: Send>(
+        &self,
+        items: &[I],
+        label: &'static str,
+        id: fn(&I) -> u64,
+        init: impl Fn() -> S + Sync,
+        work: impl Fn(&mut S, &I, u32, &Telemetry) -> R + Sync,
+    ) -> (Vec<R>, Option<PoolStats>, ArenaStats) {
+        let telemetry = &self.telemetry;
+        let path = telemetry.current_path();
+        let timeline = telemetry.timeline();
+        let t0 = timeline.tick();
+        let workers = self.effective_threads().min(items.len());
+        let next = AtomicUsize::new(0);
+        let slots: Mutex<Vec<Option<R>>> = Mutex::new(items.iter().map(|_| None).collect());
+        let scratch = Mutex::new(ArenaStats::default());
+        let worker = |slot: usize, lane: &mut Lane| {
+            let t = telemetry.scoped(&path);
+            let mut state = init();
+            let _ = refil_nn::take_scratch_stats();
+            let track = slot as u32 + 1;
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    break;
+                };
+                let start = lane.tick();
+                let result = work(&mut state, item, track, &t);
+                lane.record(label, Some(id(item)), start);
+                slots.lock().expect("fan-out slots poisoned")[i] = Some(result);
+            }
+            scratch
+                .lock()
+                .expect("scratch poisoned")
+                .merge(&arena_stats(refil_nn::take_scratch_stats()));
+        };
+        let pool_stats = if workers <= 1 {
+            let mut lane = timeline.lane(0);
+            worker(0, &mut lane);
+            timeline.merge(&[&lane], timeline.tick().saturating_sub(t0))
+        } else {
+            let pool = self.pool();
+            let _dispatch = pool.serialize();
+            pool.run(workers, &|slot| {
+                let mut lane = pool.lane(slot);
+                timeline.rearm(&mut lane, slot);
+                worker(slot, &mut lane);
+            });
+            let wall = timeline.tick().saturating_sub(t0);
+            let guards: Vec<_> = (0..workers).map(|s| pool.lane(s)).collect();
+            let lanes: Vec<&Lane> = guards.iter().map(|g| &**g).collect();
+            timeline.merge(&lanes, wall)
+        };
+        let results = slots
+            .into_inner()
+            .expect("fan-out slots poisoned")
+            .into_iter()
+            .map(|r| r.expect("planned fan-out item never ran"))
+            .collect();
+        let scratch = scratch.into_inner().expect("scratch poisoned");
+        (results, pool_stats, scratch)
+    }
+}
+
+/// The in-process transport: sessions train on the runner's worker pool
+/// against one shared [`RoundContext`], and each result becomes exactly the
+/// uplink a remote client would send, moved in memory.
+struct InProcess<'r> {
+    runner: &'r FdilRunner,
+}
+
+impl RoundTransport for InProcess<'_> {
+    fn round(&mut self, strategy: &dyn FdilStrategy, input: &RoundInput<'_>) -> RoundCollected {
+        let ctx = strategy.round_ctx(input.task, input.round, input.global, input.extra);
+        let (outputs, pool, scratch) = self.runner.fan_out(
+            input.sessions,
+            "client",
+            |s| s.client_id as u64,
+            || (),
+            |(), session, track, t| {
+                let (out, duration_ns) = run_session(&*ctx, session, t);
+                let stat = SessionStat {
+                    client_id: session.client_id as u64,
+                    track,
+                    duration_ns,
+                };
+                (out, stat)
+            },
+        );
+        let sessions = input
+            .sessions
+            .iter()
+            .zip(outputs)
+            .map(|(session, (out, stat))| {
+                let update = build_uplink(
+                    input.offer,
+                    input.mask,
+                    session.client_id as u64,
+                    out.update,
+                    input.global,
+                    input.task as u32,
+                    input.round as u32,
+                );
+                Some(CollectedSession {
+                    update_bytes: update.encoded_len() as u64,
+                    update,
+                    merge: out.merge.map(|msg| {
+                        let bytes = msg.encoded_len() as u64;
+                        (msg, bytes)
+                    }),
+                    stat,
+                })
+            })
+            .collect();
+        RoundCollected {
+            sessions,
+            pool,
+            scratch,
+        }
     }
 }
 
@@ -1556,35 +1480,6 @@ fn eval_item(
     }
     t.counter("eval.samples", item.chunk.len() as u64);
     correct
-}
-
-/// Moves one message the way the active path dictates: encoded through the
-/// echo link (send → recv → decode) when one is given, or as the typed value
-/// itself on the direct path. Byte accounting is identical either way —
-/// `WireMessage::encoded_len` always equals the encoded frame's length.
-///
-/// # Panics
-///
-/// Panics if the link errors, delivers no frame within 60 s (an echo link
-/// has the frame queued already — any wait at all means the link is broken),
-/// or delivers one that fails to decode — all fatal protocol violations for
-/// the driver.
-fn roundtrip(link: Option<&dyn Link>, msg: WireMessage) -> (WireMessage, u64) {
-    match link {
-        Some(link) => {
-            let frame = msg.encode();
-            let bytes = frame.len() as u64;
-            link.send(&frame).expect("link send failed");
-            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            let received = link.recv_deadline(deadline).expect("link recv failed");
-            let decoded = WireMessage::decode(&received).expect("received frame failed to decode");
-            (decoded, bytes)
-        }
-        None => {
-            let bytes = msg.encoded_len() as u64;
-            (msg, bytes)
-        }
-    }
 }
 
 /// Accuracy (%) of the strategy's global model on one domain's test split.
@@ -1878,39 +1773,6 @@ mod tests {
         let par = FdilRunner::new(cfg).threads(4).run(&ds, &mut s2);
         assert_eq!(seq.final_global, par.final_global);
         assert_eq!(seq.traffic, par.traffic);
-    }
-
-    #[test]
-    fn wire_and_direct_paths_are_byte_identical() {
-        let ds = tiny_dataset();
-        let mut s_wire = CentroidStrategy::new(3, 6);
-        let mut s_direct = CentroidStrategy::new(3, 6);
-        let wire = FdilRunner::new(tiny_config()).run(&ds, &mut s_wire);
-        let direct = FdilRunner::new(tiny_config())
-            .direct(true)
-            .run(&ds, &mut s_direct);
-        assert_eq!(wire.final_global, direct.final_global);
-        assert_eq!(wire.domain_acc, direct.domain_acc);
-        assert_eq!(wire.traffic, direct.traffic);
-        assert_eq!(s_wire.merged, s_direct.merged);
-    }
-
-    #[test]
-    fn explicit_loopback_links_match_run() {
-        let ds = tiny_dataset();
-        let mut s1 = CentroidStrategy::new(3, 6);
-        let mut s2 = CentroidStrategy::new(3, 6);
-        let a = FdilRunner::new(tiny_config()).run(&ds, &mut s1);
-        let downlink = refil_wire::Loopback::new();
-        let uplink = refil_wire::Loopback::new();
-        let b = FdilRunner::new(tiny_config()).run_with_links(&ds, &mut s2, &downlink, &uplink);
-        assert_eq!(a.final_global, b.final_global);
-        assert_eq!(a.traffic, b.traffic);
-        // Every frame sent was also consumed, and no round reported lates
-        // on the in-process path.
-        assert_eq!(downlink.pending(), 0);
-        assert_eq!(uplink.pending(), 0);
-        assert!(b.rounds.iter().all(|r| r.clients_late == 0));
     }
 
     #[test]

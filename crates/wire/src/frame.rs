@@ -98,6 +98,28 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+/// Generates [`MessageKind::name`] and [`MessageKind::bytes_counter`] from
+/// one table, so every kind's counter name is built from its name.
+macro_rules! kind_names {
+    ($($kind:ident => $name:literal,)*) => {
+        /// Stable snake_case name, used as the per-kind key of byte reports.
+        pub fn name(self) -> &'static str {
+            match self {
+                $(Self::$kind => $name,)*
+            }
+        }
+
+        /// The telemetry counter that totals this kind's frame bytes,
+        /// `wire.<name>_bytes`. A static string, so counting a frame
+        /// formats nothing.
+        pub fn bytes_counter(self) -> &'static str {
+            match self {
+                $(Self::$kind => concat!("wire.", $name, "_bytes"),)*
+            }
+        }
+    };
+}
+
 /// Wire identifier of each message type (the header's kind field).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u16)]
@@ -110,8 +132,7 @@ pub enum MessageKind {
     PromptUpload = 3,
     /// Server → client: clustered prompt representatives + generalized prompt.
     GlobalPromptBroadcast = 4,
-    /// Client → server: secure-aggregation masked parameters.
-    MaskedModelUpdate = 5,
+    // 5 is reserved (a retired masked-update kind) and decodes as unknown.
     /// Client-owned episodic memory in transit (rehearsal oracle).
     RehearsalMemory = 6,
     /// Client → server: first frame on a fresh connection.
@@ -139,12 +160,11 @@ pub enum MessageKind {
 
 impl MessageKind {
     /// Every kind, in wire-id order (for exhaustive tests).
-    pub const ALL: [MessageKind; 15] = [
+    pub const ALL: [MessageKind; 14] = [
         MessageKind::ModelBroadcast,
         MessageKind::ClientModelUpdate,
         MessageKind::PromptUpload,
         MessageKind::GlobalPromptBroadcast,
-        MessageKind::MaskedModelUpdate,
         MessageKind::RehearsalMemory,
         MessageKind::Hello,
         MessageKind::Welcome,
@@ -164,7 +184,6 @@ impl MessageKind {
             2 => Ok(Self::ClientModelUpdate),
             3 => Ok(Self::PromptUpload),
             4 => Ok(Self::GlobalPromptBroadcast),
-            5 => Ok(Self::MaskedModelUpdate),
             6 => Ok(Self::RehearsalMemory),
             7 => Ok(Self::Hello),
             8 => Ok(Self::Welcome),
@@ -179,26 +198,21 @@ impl MessageKind {
         }
     }
 
-    /// Stable snake_case name, used as the telemetry counter suffix
-    /// (`wire.<name>_bytes`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::ModelBroadcast => "model_broadcast",
-            Self::ClientModelUpdate => "client_model_update",
-            Self::PromptUpload => "prompt_upload",
-            Self::GlobalPromptBroadcast => "global_prompt_broadcast",
-            Self::MaskedModelUpdate => "masked_model_update",
-            Self::RehearsalMemory => "rehearsal_memory",
-            Self::Hello => "hello",
-            Self::Welcome => "welcome",
-            Self::RoundStart => "round_start",
-            Self::SessionResult => "session_result",
-            Self::RoundSync => "round_sync",
-            Self::TaskBegin => "task_begin",
-            Self::TaskEnd => "task_end",
-            Self::RunEnd => "run_end",
-            Self::CompressedModelUpdate => "compressed_model_update",
-        }
+    kind_names! {
+        ModelBroadcast => "model_broadcast",
+        ClientModelUpdate => "client_model_update",
+        PromptUpload => "prompt_upload",
+        GlobalPromptBroadcast => "global_prompt_broadcast",
+        RehearsalMemory => "rehearsal_memory",
+        Hello => "hello",
+        Welcome => "welcome",
+        RoundStart => "round_start",
+        SessionResult => "session_result",
+        RoundSync => "round_sync",
+        TaskBegin => "task_begin",
+        TaskEnd => "task_end",
+        RunEnd => "run_end",
+        CompressedModelUpdate => "compressed_model_update",
     }
 }
 
@@ -491,6 +505,13 @@ mod tests {
         }
         assert_eq!(MessageKind::from_wire(0), Err(WireError::UnknownKind(0)));
         assert_eq!(MessageKind::from_wire(99), Err(WireError::UnknownKind(99)));
+    }
+
+    #[test]
+    fn bytes_counters_are_named_after_kinds() {
+        for kind in MessageKind::ALL {
+            assert_eq!(kind.bytes_counter(), format!("wire.{}_bytes", kind.name()));
+        }
     }
 
     #[test]

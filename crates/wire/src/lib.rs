@@ -39,7 +39,7 @@
 //! | 2 | [`ClientModelUpdate`] | client → server | locally trained parameters + FedAvg weight |
 //! | 3 | [`PromptUpload`] | client → server | class-wise Local Prompt Groups (RefFiL Eq. 2–3) |
 //! | 4 | [`GlobalPromptBroadcast`] | server → client | post-FINCH prompt representatives + generalized prompt |
-//! | 5 | [`MaskedModelUpdate`] | client → server | secure-aggregation masked parameters |
+//! | 5 | — | — | reserved (retired; decodes as [`WireError::UnknownKind`]) |
 //! | 6 | [`RehearsalMemory`] | client → client (via server) | episodic-memory samples (rehearsal oracle only) |
 //! | 7 | [`Hello`] | client → server | connection handshake (client nonce, optional resume token) |
 //! | 8 | [`Welcome`] | server → client | assigned peer id + resume token + run spec string |
@@ -51,7 +51,7 @@
 //! | 14 | [`RunEnd`] | either | run / participation termination |
 //! | 15 | [`CompressedModelUpdate`] | client → server | delta/top-k/quantized parameters + FedAvg weight |
 //!
-//! Kinds 1–6 and 15 are the *payload* exchanges whose sizes define the
+//! Kinds 1–4, 6 and 15 are the *payload* exchanges whose sizes define the
 //! paper's communication accounting; kinds 7–14 are the *control* protocol
 //! the networked server speaks, and they carry payload exchanges as nested
 //! encoded frames so accounting stays byte-identical to the loopback run.
@@ -115,9 +115,9 @@ pub use compress::{CompressionSpec, QuantMode, QuantValues, SparseIndex, CODEC_R
 pub use frame::{crc32, MessageKind, WireError, HEADER_LEN, MAGIC, SCHEMA_VERSION};
 pub use link::{ConnectError, Link, Listener, Loopback, PeerId, RecvError, SERVER_PEER};
 pub use message::{
-    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, MaskedModelUpdate,
-    ModelBroadcast, PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync,
-    RunEnd, SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
+    ClientModelUpdate, CompressedModelUpdate, GlobalPromptBroadcast, Hello, ModelBroadcast,
+    PromptGroup, PromptUpload, RehearsalMemory, Resume, RoundStart, RoundSync, RunEnd,
+    SessionAssignment, SessionResult, TaskBegin, TaskEnd, Welcome, WireMessage, WireSample,
 };
 pub use net::{connect, Endpoint, NetLink, NetListener, MAX_FRAME_LEN};
 pub use poll::{Interest, PollSet};

@@ -67,18 +67,6 @@ pub struct GlobalPromptBroadcast {
     pub generalized: Option<Vec<f32>>,
 }
 
-/// Client → server: a secure-aggregation masked update (Bonawitz-style
-/// pairwise masking; masks cancel in the server-side sum).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MaskedModelUpdate {
-    /// Reporting client (defines mask pairing).
-    pub client_id: u64,
-    /// Aggregation weight (not hidden; only parameters are masked).
-    pub weight: f32,
-    /// Masked, weight-scaled parameters.
-    pub masked: Vec<f32>,
-}
-
 /// One raw sample in transit (rehearsal oracle only — the privacy
 /// violation rehearsal-free methods exist to avoid).
 #[derive(Debug, Clone, PartialEq)]
@@ -367,8 +355,6 @@ pub enum WireMessage {
     PromptUpload(PromptUpload),
     /// Server → client clustered prompt state.
     GlobalPromptBroadcast(GlobalPromptBroadcast),
-    /// Client → server masked parameters.
-    MaskedModelUpdate(MaskedModelUpdate),
     /// Episodic memory in transit.
     RehearsalMemory(RehearsalMemory),
     /// Connection handshake, client side.
@@ -403,7 +389,6 @@ impl WireMessage {
             Self::ClientModelUpdate(_) => MessageKind::ClientModelUpdate,
             Self::PromptUpload(_) => MessageKind::PromptUpload,
             Self::GlobalPromptBroadcast(_) => MessageKind::GlobalPromptBroadcast,
-            Self::MaskedModelUpdate(_) => MessageKind::MaskedModelUpdate,
             Self::RehearsalMemory(_) => MessageKind::RehearsalMemory,
             Self::Hello(_) => MessageKind::Hello,
             Self::Welcome(_) => MessageKind::Welcome,
@@ -445,7 +430,6 @@ impl WireMessage {
                     .sum::<usize>()
                     + m.generalized.as_deref().map_or(0, f32s_len)
             }
-            Self::MaskedModelUpdate(m) => 12 + f32s_len(&m.masked),
             Self::RehearsalMemory(m) => {
                 20 + m
                     .samples
@@ -535,11 +519,6 @@ impl WireMessage {
                     }
                     None => w.u8(0),
                 }
-            }
-            Self::MaskedModelUpdate(m) => {
-                w.u64(m.client_id);
-                w.f32(m.weight);
-                w.f32s(&m.masked);
             }
             Self::RehearsalMemory(m) => {
                 w.u64(m.client_id);
@@ -697,11 +676,6 @@ impl WireMessage {
                     generalized,
                 })
             }
-            MessageKind::MaskedModelUpdate => Self::MaskedModelUpdate(MaskedModelUpdate {
-                client_id: r.u64("client_id")?,
-                weight: r.f32("weight")?,
-                masked: r.f32s("masked")?,
-            }),
             MessageKind::RehearsalMemory => {
                 let client_id = r.u64("client_id")?;
                 let seed = r.u64("seed")?;
@@ -901,11 +875,6 @@ mod tests {
                 round: 9,
                 candidates: vec![(1, vec![1.5; 4])],
                 generalized: Some(vec![0.25; 4]),
-            }),
-            WireMessage::MaskedModelUpdate(MaskedModelUpdate {
-                client_id: u64::MAX,
-                weight: 0.5,
-                masked: vec![9.75, -2.0],
             }),
             WireMessage::RehearsalMemory(RehearsalMemory {
                 client_id: 11,
@@ -1164,20 +1133,30 @@ mod tests {
     }
 
     #[test]
-    fn kind_flips_between_identical_layouts_are_caught() {
-        // ClientModelUpdate and MaskedModelUpdate share a payload layout;
-        // only the header-covering checksum tells them apart.
+    fn kind_flips_to_a_live_kind_are_caught() {
+        // A payload that also parses under another live kind is told apart
+        // only by the header-covering checksum.
         let msg = WireMessage::ClientModelUpdate(ClientModelUpdate {
             client_id: 1,
             weight: 2.0,
             model: vec![3.0],
         });
         let mut frame = msg.encode();
-        frame[6] = MessageKind::MaskedModelUpdate as u16 as u8;
+        frame[6] = MessageKind::ModelBroadcast as u16 as u8;
         assert!(matches!(
             WireMessage::decode(&frame),
             Err(WireError::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn reserved_kind_5_is_unknown() {
+        // Kind 5 (the retired masked update) stays reserved: even a
+        // correctly sealed frame carrying it is rejected by kind.
+        let mut frame = exemplars()[1].encode();
+        frame[6..8].copy_from_slice(&5u16.to_le_bytes());
+        crate::frame::seal_frame(&mut frame);
+        assert_eq!(WireMessage::decode(&frame), Err(WireError::UnknownKind(5)));
     }
 
     #[test]
