@@ -6,13 +6,18 @@
 //! *byte-identical* to a sequential one — same final global model, same
 //! accuracy matrix, same traffic accounting. These tests pin that contract
 //! for the full RefFiL method and a baseline, across seeds and under
-//! client dropout.
+//! client dropout, and pin that routing every exchange through encoded
+//! frames over a socket changes nothing either.
+
+use std::time::{Duration, Instant};
 
 use refil::continual::{Finetune, MethodConfig};
 use refil::core::{RefFiL, RefFiLConfig};
 use refil::data::{DatasetSpec, DomainSpec, FdilDataset};
 use refil::fed::{
-    FdilRunner, FdilStrategy, IncrementConfig, RunConfig, RunResult, WireConfig, WireQuant,
+    client_handshake, connect, run_clients_pumped, ClientOptions, Endpoint, FdilRunner,
+    FdilStrategy, IncrementConfig, Link, NetListener, RunConfig, RunResult, Telemetry, WireConfig,
+    WireQuant,
 };
 use refil::nn::models::{BackboneConfig, ExtractorKind};
 
@@ -123,13 +128,107 @@ fn finetune_parallel_matches_sequential_across_seeds() {
     }
 }
 
+/// Serves one run over a localhost TCP socket to two client replicas pumped
+/// from a second thread, so every exchange is encoded into frames, written
+/// to the socket and decoded on the other side.
+fn served_run(
+    cfg: RunConfig,
+    ds: &FdilDataset,
+    server: &mut dyn FdilStrategy,
+    replica: impl Fn() -> Box<dyn FdilStrategy> + Sync,
+) -> RunResult {
+    let mut cfg = cfg;
+    cfg.net.min_peers = 2;
+    let listener = NetListener::bind(&Endpoint::Tcp("127.0.0.1:0".into())).expect("bind");
+    let endpoint = listener.local_endpoint();
+    std::thread::scope(|scope| {
+        let pump = scope.spawn(|| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut links: Vec<Box<dyn Link>> = Vec::new();
+            let mut peers = Vec::new();
+            let mut opts = ClientOptions::default();
+            for nonce in 0..2 {
+                let link = connect(&endpoint, deadline).expect("connect");
+                let (peer, _, _, compression) =
+                    client_handshake(&link, nonce, None, deadline).expect("handshake");
+                opts.compression = compression;
+                peers.push(peer);
+                links.push(Box::new(link));
+            }
+            let mut replicas: Vec<Box<dyn FdilStrategy>> = (0..2).map(|_| replica()).collect();
+            for report in run_clients_pumped(
+                &links,
+                &peers,
+                &mut replicas,
+                ds,
+                &cfg,
+                &opts,
+                &Telemetry::disabled(),
+            ) {
+                assert_eq!(report.expect("replica").reason, 0);
+            }
+        });
+        let result = FdilRunner::new(cfg).serve(ds, server, &listener, "determinism");
+        pump.join().expect("pump thread");
+        result
+    })
+}
+
+fn assert_same_wire_ledger(a: &RunResult, b: &RunResult) {
+    assert_eq!(a.rounds.len(), b.rounds.len());
+    for (x, y) in a.rounds.iter().zip(&b.rounds) {
+        assert_eq!(x.wire_bytes, y.wire_bytes, "per-round wire bytes diverged");
+        assert_eq!(x.uplink_raw_bytes, y.uplink_raw_bytes);
+        assert_eq!(x.uplink_encoded_bytes, y.uplink_encoded_bytes);
+        assert_eq!(
+            x.clients_late, 0,
+            "healthy served run reported late sessions"
+        );
+    }
+}
+
 #[test]
-fn identity_wire_spec_matches_default_config() {
+fn wire_path_matches_direct_path_across_seeds() {
+    // Routing every exchange through encoded frames over a socket must be
+    // byte-identical to the direct in-process path, which moves typed
+    // messages in memory and only sizes them, for both the full RefFiL
+    // protocol (which adds GlobalPromptBroadcast / PromptUpload frames) and
+    // a plain baseline, while both paths account identical encoded-frame
+    // traffic.
+    let ds = dataset();
+    for seed in [13u64, 29] {
+        let cfg = run_cfg(seed, 0.0);
+
+        let mut s_direct = RefFiL::new(RefFiLConfig::new(method()));
+        let r_direct = FdilRunner::new(cfg).run(&ds, &mut s_direct);
+        let mut s_wire = RefFiL::new(RefFiLConfig::new(method()));
+        let r_wire = served_run(cfg, &ds, &mut s_wire, || {
+            Box::new(RefFiL::new(RefFiLConfig::new(method())))
+        });
+        assert_byte_identical(&r_wire, &r_direct);
+        assert_same_wire_ledger(&r_wire, &r_direct);
+        assert_eq!(
+            s_wire.prompt_store().total_reps(),
+            s_direct.prompt_store().total_reps(),
+            "prompt store diverged between wire and direct paths at seed {seed}"
+        );
+
+        let mut f_direct = Finetune::new(method());
+        let f_r_direct = FdilRunner::new(cfg).run(&ds, &mut f_direct);
+        let mut f_wire = Finetune::new(method());
+        let f_r_wire = served_run(cfg, &ds, &mut f_wire, || Box::new(Finetune::new(method())));
+        assert_byte_identical(&f_r_wire, &f_r_direct);
+        assert_same_wire_ledger(&f_r_wire, &f_r_direct);
+    }
+}
+
+#[test]
+fn lossless_wire_spec_matches_direct_path() {
     // `WireConfig { delta: false, quant: None, topk_fraction: 1.0 }` is the
     // identity spec: the compression layer must never engage, so the run is
-    // byte-identical to the default config — for the full RefFiL protocol
-    // (which adds GlobalPromptBroadcast / PromptUpload frames) and a plain
-    // baseline — with every update moving as a dense frame.
+    // byte-identical to the direct path under the default config, for the
+    // full RefFiL protocol and a plain baseline, with every update moving as
+    // a dense frame.
     let ds = dataset();
     for seed in [13u64, 29] {
         let plain = run_cfg(seed, 0.0);
