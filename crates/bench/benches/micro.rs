@@ -8,7 +8,9 @@ use rand::SeedableRng;
 
 use refil_clustering::{finch, kmeans};
 use refil_continual::{Finetune, MethodConfig};
-use refil_core::{dpcl_loss, CdapConfig, CdapGenerator, RefFiL, RefFiLConfig};
+use refil_core::{
+    dpcl_loss, CdapConfig, CdapGenerator, GlobalPromptStore, LocalPromptGroup, RefFiL, RefFiLConfig,
+};
 use refil_data::{DatasetSpec, DomainSpec};
 use refil_fed::{fedavg, FdilRunner, IncrementConfig, RunConfig, WeightedUpdate};
 use refil_nn::layers::TransformerBlock;
@@ -194,6 +196,33 @@ fn bench_finch(c: &mut Criterion) {
     c.bench_function("clustering/kmeans_64x128_k4", |bench| {
         bench.iter(|| kmeans(&points, 4, 7, 50))
     });
+    // One round of 10 uploads into a class history already holding 64
+    // prompts: the server's per-round FINCH upkeep, with eviction.
+    let mut full = GlobalPromptStore::new(1, 128);
+    full.ingest(&[LocalPromptGroup {
+        client_id: 0,
+        prompts: points.iter().map(|p| (0, p.clone())).collect(),
+    }]);
+    let round: Vec<LocalPromptGroup> = points
+        .iter()
+        .step_by(7)
+        .take(10)
+        .enumerate()
+        .map(|(client_id, p)| LocalPromptGroup {
+            client_id,
+            prompts: vec![(0, p.iter().map(|x| x * 0.9).collect())],
+        })
+        .collect();
+    c.bench_function("clustering/prompt_ingest_64x128", |bench| {
+        bench.iter_batched(
+            || full.clone(),
+            |mut store| {
+                store.ingest(&round);
+                store
+            },
+            BatchSize::SmallInput,
+        )
+    });
 }
 
 fn bench_fedavg(c: &mut Criterion) {
@@ -311,6 +340,7 @@ fn bench_round_parallel(c: &mut Criterion) {
         eval_batch: 128,
         dropout_prob: 0.0,
         seed: 13,
+        ..RunConfig::default()
     };
     c.bench_function("fed/round_parallel/threads_1", |bench| {
         bench.iter(|| {
@@ -380,6 +410,7 @@ fn bench_evaluate(c: &mut Criterion) {
         eval_batch: 16,
         dropout_prob: 0.0,
         seed: 13,
+        ..RunConfig::default()
     };
     let mut strat = RefFiL::new(RefFiLConfig::new(method));
     let res = FdilRunner::new(run_cfg).run(&dataset, &mut strat);

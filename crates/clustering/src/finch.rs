@@ -9,7 +9,7 @@
 //! parameter — which is what makes it suitable for the dynamic federated
 //! setting.
 
-use crate::similarity::{cosine_similarity, first_neighbor};
+use crate::similarity::{first_neighbors_of, row};
 
 /// One level of the FINCH hierarchy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,75 +64,96 @@ pub fn finch(points: &[Vec<f32>]) -> FinchResult {
 /// [`finch`] wrapped in a `finch_cluster` telemetry span, recording the
 /// input size and resulting hierarchy depth as histogram observations.
 pub fn finch_traced(points: &[Vec<f32>], telemetry: &refil_telemetry::Telemetry) -> FinchResult {
+    traced(points.len(), telemetry, || {
+        let n = points.len();
+        if n < 2 {
+            return trivial(n);
+        }
+        let dim = points[0].len();
+        for p in points {
+            assert_eq!(p.len(), dim, "inconsistent point dimensionality");
+        }
+        let data = points.concat();
+        let neighbors = first_neighbors_of(&data, n, dim);
+        hierarchy(&neighbors, dim, |labels, k| {
+            flat_means(rows(&data, dim, n), dim, labels, k)
+        })
+    })
+}
+
+/// Runs `run` in a `finch_cluster` span over `n` points and records the
+/// `finch.*` observations of its result.
+pub(crate) fn traced(
+    n: usize,
+    telemetry: &refil_telemetry::Telemetry,
+    run: impl FnOnce() -> FinchResult,
+) -> FinchResult {
     let _span = telemetry.span("finch_cluster");
-    let result = finch_inner(points);
-    telemetry.observe("finch.points", points.len() as f64);
+    let result = run();
+    telemetry.observe("finch.points", n as f64);
     telemetry.observe("finch.levels", result.partitions.len() as f64);
     telemetry.observe("finch.finest_clusters", result.finest().num_clusters as f64);
     result
 }
 
-fn finch_inner(points: &[Vec<f32>]) -> FinchResult {
-    let n = points.len();
-    if n == 0 {
+/// The one-level result for fewer than two points.
+pub(crate) fn trivial(n: usize) -> FinchResult {
+    debug_assert!(n < 2);
+    FinchResult {
+        partitions: vec![Partition {
+            labels: vec![0; n],
+            num_clusters: n,
+        }],
+    }
+}
+
+/// The FINCH hierarchy over `n >= 2` points whose first neighbours are
+/// `neighbors`. Level 0 links the points themselves (Eq. 4); each coarser
+/// level links the previous level's cluster means, computed fresh. `means0`
+/// returns the level-0 cluster means, row-major, for `(labels, k)`.
+pub(crate) fn hierarchy(
+    neighbors: &[usize],
+    dim: usize,
+    means0: impl FnOnce(&[usize], usize) -> Vec<f32>,
+) -> FinchResult {
+    let level = link(neighbors);
+    if level.num_clusters <= 1 || level.num_clusters == neighbors.len() {
         return FinchResult {
-            partitions: vec![Partition {
-                labels: vec![],
-                num_clusters: 0,
-            }],
+            partitions: vec![level],
         };
     }
-    if n == 1 {
-        return FinchResult {
-            partitions: vec![Partition {
-                labels: vec![0],
-                num_clusters: 1,
-            }],
-        };
-    }
-    let dim = points[0].len();
-    for p in points {
-        assert_eq!(p.len(), dim, "inconsistent point dimensionality");
-    }
-
-    let mut partitions = Vec::new();
-    // `current` holds the representative vectors at this level; `mapping[i]`
-    // maps original point i to its index among `current`.
-    let mut current: Vec<Vec<f32>> = points.to_vec();
-    let mut mapping: Vec<usize> = (0..n).collect();
-
+    // `current` holds this level's cluster means (row-major, `k` rows);
+    // `mapping[i]` maps original point i to its row among them.
+    let mut k = level.num_clusters;
+    let mut current = means0(&level.labels, k);
+    let mut mapping = level.labels.clone();
+    let mut partitions = vec![level];
     loop {
-        let level = cluster_once(&current);
+        let level = link(&first_neighbors_of(&current, k, dim));
         let labels: Vec<usize> = mapping.iter().map(|&m| level.labels[m]).collect();
-        let num_clusters = level.num_clusters;
         partitions.push(Partition {
             labels: labels.clone(),
-            num_clusters,
+            num_clusters: level.num_clusters,
         });
-        if num_clusters <= 1 || num_clusters == current.len() {
+        if level.num_clusters <= 1 || level.num_clusters == k {
             break;
         }
-        current = cluster_means(&current, &level.labels, num_clusters);
+        current = flat_means(
+            rows(&current, dim, k),
+            dim,
+            &level.labels,
+            level.num_clusters,
+        );
+        k = level.num_clusters;
         mapping = labels;
-        if current.len() < 2 {
-            break;
-        }
     }
     FinchResult { partitions }
 }
 
-/// One round of first-neighbour clustering: adjacency per Eq. 4, then
-/// connected components.
-fn cluster_once(points: &[Vec<f32>]) -> Partition {
-    let n = points.len();
-    if n == 1 {
-        return Partition {
-            labels: vec![0],
-            num_clusters: 1,
-        };
-    }
-    let neighbors: Vec<usize> = (0..n).map(|i| first_neighbor(points, i)).collect();
-
+/// One round of first-neighbour clustering: links each point with its
+/// first neighbour (Eq. 4), then labels the connected components.
+fn link(neighbors: &[usize]) -> Partition {
+    let n = neighbors.len();
     // Union-find over the Eq. 4 links.
     let mut parent: Vec<usize> = (0..n).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
@@ -173,6 +194,41 @@ fn cluster_once(points: &[Vec<f32>]) -> Partition {
     }
 }
 
+/// The first `n` rows of the row-major points `data`.
+pub(crate) fn rows(data: &[f32], dim: usize, n: usize) -> impl Iterator<Item = &[f32]> {
+    (0..n).map(move |i| row(data, dim, i))
+}
+
+/// Row-major mean of each of `k` clusters, summing members in row order.
+///
+/// # Panics
+///
+/// Panics if a label `>= k` appears.
+pub(crate) fn flat_means<'a>(
+    points: impl Iterator<Item = &'a [f32]>,
+    dim: usize,
+    labels: &[usize],
+    k: usize,
+) -> Vec<f32> {
+    let mut sums = vec![0.0f32; k * dim];
+    let mut counts = vec![0usize; k];
+    for (p, &l) in points.zip(labels) {
+        assert!(l < k, "label {l} out of range");
+        counts[l] += 1;
+        for (s, &x) in sums[l * dim..(l + 1) * dim].iter_mut().zip(p) {
+            *s += x;
+        }
+    }
+    for (l, &c) in counts.iter().enumerate() {
+        if c > 0 {
+            for x in &mut sums[l * dim..(l + 1) * dim] {
+                *x /= c as f32;
+            }
+        }
+    }
+    sums
+}
+
 /// Mean vector of each cluster.
 ///
 /// # Panics
@@ -181,39 +237,10 @@ fn cluster_once(points: &[Vec<f32>]) -> Partition {
 pub fn cluster_means(points: &[Vec<f32>], labels: &[usize], num_clusters: usize) -> Vec<Vec<f32>> {
     assert_eq!(points.len(), labels.len(), "labels length mismatch");
     let dim = points.first().map_or(0, Vec::len);
-    let mut sums = vec![vec![0.0f32; dim]; num_clusters];
-    let mut counts = vec![0usize; num_clusters];
-    for (p, &l) in points.iter().zip(labels) {
-        assert!(l < num_clusters, "label {l} out of range");
-        counts[l] += 1;
-        for (s, &x) in sums[l].iter_mut().zip(p) {
-            *s += x;
-        }
-    }
-    for (s, &c) in sums.iter_mut().zip(&counts) {
-        if c > 0 {
-            for x in s.iter_mut() {
-                *x /= c as f32;
-            }
-        }
-    }
-    sums
-}
-
-/// For each cluster, the index of the member closest (by cosine) to the
-/// cluster mean — the cluster's representative ("medoid-to-mean").
-pub fn representatives(points: &[Vec<f32>], labels: &[usize], num_clusters: usize) -> Vec<usize> {
-    let means = cluster_means(points, labels, num_clusters);
-    let mut best = vec![usize::MAX; num_clusters];
-    let mut best_sim = vec![f32::NEG_INFINITY; num_clusters];
-    for (i, (p, &l)) in points.iter().zip(labels).enumerate() {
-        let s = cosine_similarity(p, &means[l]);
-        if s > best_sim[l] {
-            best_sim[l] = s;
-            best[l] = i;
-        }
-    }
-    best
+    let means = flat_means(points.iter().map(Vec::as_slice), dim, labels, num_clusters);
+    rows(&means, dim, num_clusters)
+        .map(<[f32]>::to_vec)
+        .collect()
 }
 
 #[cfg(test)]
@@ -279,17 +306,6 @@ mod tests {
         let r = finch(&two_blobs());
         assert_eq!(r.closest_to(2).num_clusters, 2);
         assert_eq!(r.closest_to(1).num_clusters, 1);
-    }
-
-    #[test]
-    fn representatives_belong_to_their_cluster() {
-        let pts = two_blobs();
-        let r = finch(&pts);
-        let p = r.finest();
-        let reps = representatives(&pts, &p.labels, p.num_clusters);
-        for (cluster, &rep) in reps.iter().enumerate() {
-            assert_eq!(p.labels[rep], cluster);
-        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use refil_clustering::{cluster_means, finch_traced, kmeans};
+use refil_clustering::{kmeans, PointHistory};
 use refil_telemetry::Telemetry;
 
 /// How the server condenses each class's LPG pool into representatives —
@@ -74,18 +74,18 @@ impl LocalPromptGroup {
 
 /// Server-side global prompt state: a bounded per-class history of uploaded
 /// LPGs, FINCH-clustered into representatives after every round.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct GlobalPromptStore {
     classes: usize,
     dim: usize,
-    /// `pool[k]` = recent LPG history for class `k` (FIFO, bounded).
-    pool: Vec<Vec<Vec<f32>>>,
+    /// `pool[k]` = recent LPG history for class `k` (FIFO, bounded, oldest
+    /// first), with the cosines between its prompts kept current so each
+    /// round computes only the new prompts' rows.
+    pool: Vec<PointHistory>,
     /// `reps[k]` = representative prompts for class `k` (cluster means).
     reps: Vec<Vec<Vec<f32>>>,
     /// Cap on stored representatives per class.
     per_class_cap: usize,
-    /// Cap on the per-class LPG history.
-    pool_cap: usize,
     /// Condensation algorithm.
     mode: ClusterMode,
 }
@@ -97,10 +97,9 @@ impl GlobalPromptStore {
         Self {
             classes,
             dim,
-            pool: vec![Vec::new(); classes],
+            pool: Self::histories(classes, dim, 64),
             reps: vec![Vec::new(); classes],
             per_class_cap: 16,
-            pool_cap: 64,
             mode: ClusterMode::Finch,
         }
     }
@@ -111,10 +110,15 @@ impl GlobalPromptStore {
         self
     }
 
-    /// Overrides the per-class LPG history cap.
+    /// Overrides the per-class LPG history cap. Call it before the first
+    /// ingest: it starts every class's history afresh.
     pub fn with_pool_cap(mut self, cap: usize) -> Self {
-        self.pool_cap = cap.max(2);
+        self.pool = Self::histories(self.classes, self.dim, cap.max(2));
         self
+    }
+
+    fn histories(classes: usize, dim: usize, cap: usize) -> Vec<PointHistory> {
+        (0..classes).map(|_| PointHistory::new(dim, cap)).collect()
     }
 
     /// Overrides the condensation algorithm (ablation support).
@@ -167,31 +171,27 @@ impl GlobalPromptStore {
     /// Panics if any prompt has the wrong dimension or class index.
     pub fn ingest_traced(&mut self, uploads: &[LocalPromptGroup], telemetry: &Telemetry) {
         let _span = telemetry.span("prompt_ingest");
-        let mut touched = vec![false; self.classes];
+        let mut fresh: Vec<Vec<&[f32]>> = vec![Vec::new(); self.classes];
         for up in uploads {
             for (k, v) in &up.prompts {
                 assert!(*k < self.classes, "class {k} out of range");
                 assert_eq!(v.len(), self.dim, "prompt dim mismatch");
-                let pool = &mut self.pool[*k];
-                pool.push(v.clone());
-                if pool.len() > self.pool_cap {
-                    pool.remove(0);
-                }
-                touched[*k] = true;
+                fresh[*k].push(v);
             }
         }
-        for (k, was_touched) in touched.into_iter().enumerate() {
-            if !was_touched {
+        for (k, prompts) in fresh.iter().enumerate() {
+            if prompts.is_empty() {
                 continue;
             }
-            let pool = &self.pool[k];
+            let pool = &mut self.pool[k];
+            pool.extend(prompts);
             if pool.len() == 1 {
-                self.reps[k] = pool.clone();
+                self.reps[k] = pool.to_vecs();
                 continue;
             }
             let mut means = match self.mode {
                 ClusterMode::Finch => {
-                    let result = finch_traced(pool, telemetry);
+                    let result = pool.finch_traced(telemetry);
                     // The finest partition separates domains (prompts from
                     // different domains are unlikely to be first neighbours);
                     // when it exceeds the cap, fall back to the hierarchy
@@ -201,17 +201,17 @@ impl GlobalPromptStore {
                     } else {
                         result.finest()
                     };
-                    cluster_means(pool, &partition.labels, partition.num_clusters)
+                    pool.cluster_means(&partition.labels, partition.num_clusters)
                 }
-                ClusterMode::Kmeans(kk) => kmeans(pool, kk.max(1), 17, 50).centroids,
-                ClusterMode::Average => cluster_means(pool, &vec![0; pool.len()], 1),
+                ClusterMode::Kmeans(kk) => kmeans(&pool.to_vecs(), kk.max(1), 17, 50).centroids,
+                ClusterMode::Average => pool.cluster_means(&vec![0; pool.len()], 1),
             };
             means.truncate(self.per_class_cap);
             self.reps[k] = means;
         }
         telemetry.observe(
             "prompt.pool_size",
-            self.pool.iter().map(Vec::len).sum::<usize>() as f64,
+            self.pool.iter().map(PointHistory::len).sum::<usize>() as f64,
         );
         telemetry.observe("prompt.reps", self.total_reps() as f64);
     }
@@ -331,6 +331,85 @@ mod tests {
             store.ingest(&[lpg(i, 0, vec![i as f32, 1.0])]);
         }
         assert!(store.pool[0].len() <= 4);
+    }
+
+    #[test]
+    fn incremental_store_matches_finch_from_scratch() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use refil_clustering::{cluster_means, finch};
+
+        // The reference is the store as first written: a `Vec` FIFO per
+        // class, re-clustered from scratch with `finch` every round. Coarse
+        // values make duplicates, zero vectors and exact ties common; the
+        // small caps force FIFO eviction and the `closest_to` fallback.
+        const COARSE: [f32; 5] = [-1.0, 0.0, 0.0, 0.5, 1.0];
+        let (classes, dim, pool_cap, rep_cap) = (3, 4, 6, 2);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut store = GlobalPromptStore::new(classes, dim)
+            .with_pool_cap(pool_cap)
+            .with_cap(rep_cap);
+        let mut pools = vec![Vec::<Vec<f32>>::new(); classes];
+        let mut reps = vec![Vec::<Vec<f32>>::new(); classes];
+        for _ in 0..60 {
+            let coarse = rng.gen_bool(0.7);
+            let uploads: Vec<LocalPromptGroup> = (0..rng.gen_range(1..5))
+                .map(|client_id| LocalPromptGroup {
+                    client_id,
+                    prompts: (0..rng.gen_range(1..4))
+                        .map(|_| {
+                            let v = (0..dim)
+                                .map(|_| {
+                                    if coarse {
+                                        COARSE[rng.gen_range(0..COARSE.len())]
+                                    } else {
+                                        rng.gen_range(-1.0..1.0)
+                                    }
+                                })
+                                .collect();
+                            (rng.gen_range(0..classes), v)
+                        })
+                        .collect(),
+                })
+                .collect();
+            store.ingest(&uploads);
+            let mut touched = vec![false; classes];
+            for (k, v) in uploads.iter().flat_map(|u| &u.prompts) {
+                pools[*k].push(v.clone());
+                if pools[*k].len() > pool_cap {
+                    pools[*k].remove(0);
+                }
+                touched[*k] = true;
+            }
+            for k in (0..classes).filter(|&k| touched[k]) {
+                let pool = &pools[k];
+                reps[k] = if pool.len() == 1 {
+                    pool.clone()
+                } else {
+                    let result = finch(pool);
+                    let p = if result.finest().num_clusters > rep_cap {
+                        result.closest_to(rep_cap)
+                    } else {
+                        result.finest()
+                    };
+                    let mut means = cluster_means(pool, &p.labels, p.num_clusters);
+                    means.truncate(rep_cap);
+                    means
+                };
+            }
+            for (k, want) in reps.iter().enumerate() {
+                let bits = |r: &[Vec<f32>]| -> Vec<Vec<u32>> {
+                    r.iter()
+                        .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                        .collect()
+                };
+                assert_eq!(
+                    bits(store.class_representatives(k)),
+                    bits(want),
+                    "class {k}"
+                );
+            }
+        }
     }
 
     #[test]

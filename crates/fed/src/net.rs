@@ -190,6 +190,10 @@ struct Peer {
     pending_slots: Vec<usize>,
     /// `Hello` deadline while `Joining`.
     joined_by: Instant,
+    /// `net.peer.<id>.tx_bytes` / `.rx_bytes`: the physical byte counters,
+    /// named once at accept rather than per frame.
+    tx_counter: String,
+    rx_counter: String,
 }
 
 impl Peer {
@@ -198,8 +202,7 @@ impl Peer {
     fn enqueue(&mut self, telemetry: &Telemetry, frame: &[u8]) -> bool {
         let ok = self.link.enqueue_frame(frame).is_ok();
         if ok {
-            let name = format!("net.peer.{}.tx_bytes", self.peer_id);
-            telemetry.counter(&name, frame.len() as u64);
+            telemetry.counter(&self.tx_counter, frame.len() as u64);
         }
         ok
     }
@@ -331,13 +334,16 @@ impl<'a> ServeState<'a> {
     fn accept(&mut self, link: Box<dyn Link>) {
         let _ = link.set_nonblocking(true);
         self.telemetry.counter("net.reactor.accepts", 1);
+        let peer_id = link.peer_id();
         self.peers.push(Peer {
-            peer_id: link.peer_id(),
+            peer_id,
             link,
             state: PeerState::Joining,
             token: 0,
             pending_slots: Vec::new(),
             joined_by: Instant::now() + HANDSHAKE_TIMEOUT,
+            tx_counter: format!("net.peer.{peer_id}.tx_bytes"),
+            rx_counter: format!("net.peer.{peer_id}.rx_bytes"),
         });
     }
 
@@ -392,10 +398,8 @@ impl<'a> ServeState<'a> {
     /// Dispatches one inbound frame. Returns `false` when the peer was
     /// disconnected while handling it.
     fn on_frame(&mut self, pi: usize, frame: &[u8]) -> bool {
-        self.telemetry.counter(
-            &format!("net.peer.{}.rx_bytes", self.peers[pi].peer_id),
-            frame.len() as u64,
-        );
+        self.telemetry
+            .counter(&self.peers[pi].rx_counter, frame.len() as u64);
         let msg = match WireMessage::decode(frame) {
             Ok(msg) => msg,
             Err(_) => {

@@ -302,10 +302,19 @@ pub fn int8_dequantize_one(zero_point: f32, scale: f32, code: u8) -> f32 {
 /// Positions (into `values`) of the `k` largest-magnitude entries, returned
 /// in ascending position order. Ties on magnitude keep the lower position —
 /// the deterministic tie-break that makes two identical uplinks identical.
+///
+/// Linear-time selection, then a sort of the `k` kept positions only. The
+/// order (magnitude descending by `total_cmp`, then position ascending) is
+/// strict and total, so the kept set is unique: it is exactly the first `k`
+/// of a full sort by that order.
 pub fn topk_positions(values: &[f32], k: usize) -> Vec<usize> {
     let mut order: Vec<usize> = (0..values.len()).collect();
-    order.sort_unstable_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b)));
-    order.truncate(k.min(values.len()));
+    if k < order.len() {
+        order.select_nth_unstable_by(k, |&a, &b| {
+            values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b))
+        });
+        order.truncate(k);
+    }
     order.sort_unstable();
     order
 }
@@ -638,6 +647,65 @@ mod tests {
         // Mixed: ties at |0.5| (indices 1, 3) resolve to index 1.
         let v = [0.1f32, 0.5, 0.9, -0.5];
         assert_eq!(topk_positions(&v, 2), vec![1, 2]);
+    }
+
+    /// The full-sort selection `topk_positions` replaced: the oracle.
+    fn topk_by_sort(values: &[f32], k: usize) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..values.len()).collect();
+        order
+            .sort_unstable_by(|&a, &b| values[b].abs().total_cmp(&values[a].abs()).then(a.cmp(&b)));
+        order.truncate(k.min(values.len()));
+        order.sort_unstable();
+        order
+    }
+
+    #[test]
+    fn topk_selection_matches_full_sort() {
+        let special = [
+            0.0f32,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            -0.5,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MIN_POSITIVE,
+            f32::MAX,
+        ];
+        let mut state = 0x9e37_79b9_u32;
+        let mut next = || {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state
+        };
+        for n in (0usize..40).chain([257, 1000]) {
+            for trial in 0..4 {
+                // Trial 0 draws from the special values only (magnitude
+                // ties, ±0.0, ±inf, NaN); the rest mix in arbitrary floats.
+                let values: Vec<f32> = (0..n)
+                    .map(|_| {
+                        let r = next();
+                        if trial == 0 || r % 3 == 0 {
+                            special[(r >> 8) as usize % special.len()]
+                        } else {
+                            (r >> 8) as f32 / 1e6 - 8.0
+                        }
+                    })
+                    .collect();
+                let ks = [0, 1, n / 3, n.saturating_sub(1), n, n + 1, n + 7];
+                for k in ks {
+                    assert_eq!(
+                        topk_positions(&values, k),
+                        topk_by_sort(&values, k),
+                        "n {n} k {k}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

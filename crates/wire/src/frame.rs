@@ -216,8 +216,11 @@ impl MessageKind {
     }
 }
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic bytewise table, and
+/// `CRC_TABLES[j][b]` is the CRC of byte `b` followed by `j` zero bytes, so
+/// eight table lookups advance the CRC by eight bytes at once.
+const fn crc32_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -230,18 +233,51 @@ const fn crc32_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut j = 1;
+    while j < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[j - 1][i];
+            tables[j][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            i += 1;
+        }
+        j += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc32_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc32_tables();
 
+/// Advances the CRC register over `data`, eight bytes per step, with a
+/// bytewise tail. Equal to [`crc32_bytewise`] for every input.
 fn crc32_update(state: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = state;
+    let mut chunks = data.chunks_exact(8);
+    for chunk in &mut chunks {
+        let lo = c ^ u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        let hi = u32::from_le_bytes([chunk[4], chunk[5], chunk[6], chunk[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    crc32_bytewise(c, chunks.remainder())
+}
+
+/// Advances the CRC register one byte per table lookup: the tail of
+/// [`crc32_update`] and the oracle its tests check it against.
+fn crc32_bytewise(state: u32, data: &[u8]) -> u32 {
     let mut c = state;
     for &b in data {
-        c = CRC_TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     c
 }
@@ -496,6 +532,47 @@ mod tests {
     fn crc32_two_concatenates() {
         assert_eq!(crc32_two(b"1234", b"56789"), crc32(b"123456789"));
         assert_eq!(crc32_two(b"", b"123456789"), crc32(b"123456789"));
+    }
+
+    /// Deterministic filler bytes for the sliced-vs-bytewise checks.
+    fn noise(len: usize) -> Vec<u8> {
+        let mut state = 0x2545_f491_u32;
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 17;
+                state ^= state << 5;
+                (state >> 11) as u8
+            })
+            .collect()
+    }
+
+    fn crc32_oracle(data: &[u8]) -> u32 {
+        crc32_bytewise(0xffff_ffff, data) ^ 0xffff_ffff
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise() {
+        let data = noise(1 << 20);
+        for len in 0..=64 {
+            assert_eq!(crc32(&data[..len]), crc32_oracle(&data[..len]), "len {len}");
+            // Unaligned starts too: slicing must not depend on alignment.
+            assert_eq!(crc32(&data[3..3 + len]), crc32_oracle(&data[3..3 + len]));
+        }
+        for len in [1000, 4096 + 5, 65_537, 1 << 20] {
+            assert_eq!(crc32(&data[..len]), crc32_oracle(&data[..len]), "len {len}");
+        }
+        assert_eq!(crc32(&[0xff; 4099]), crc32_oracle(&[0xff; 4099]));
+    }
+
+    #[test]
+    fn crc32_two_matches_bytewise_at_every_split() {
+        let data = noise(100);
+        let whole = crc32_oracle(&data);
+        for split in 0..=data.len() {
+            let (head, tail) = data.split_at(split);
+            assert_eq!(crc32_two(head, tail), whole, "split {split}");
+        }
     }
 
     #[test]
